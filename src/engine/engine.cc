@@ -9,6 +9,7 @@
 #include "core/factory.h"
 #include "core/overlap_kernel.h"
 #include "core/touch.h"
+#include "geom/grid.h"
 #include "index/rtree.h"
 #include "join/pbsm.h"
 #include "join/rtree_join.h"
@@ -49,7 +50,7 @@ class RemapCollector : public ResultCollector {
 
 /// Measures time-to-first-Emit generically — for every algorithm, not just
 /// the streaming NBPS that historically self-reported it. Wrapped around
-/// the request's collector in ExecutePlanned; single-threaded like every
+/// the request's collector in ExecuteRequest; single-threaded like every
 /// engine sink (Emit calls are never concurrent per request).
 class FirstEmitCollector : public ResultCollector {
  public:
@@ -86,69 +87,206 @@ Dataset EnlargedCopy(std::span<const Box> boxes, float epsilon) {
   return out;
 }
 
-// --- Cached artifact types (one per ArtifactKind) ---------------------------
+// --- Cached artifacts --------------------------------------------------------
 
-/// A built TOUCH tree plus the exact boxes it was built over. `boxes` is the
-/// enlarged copy when the key's epsilon is nonzero; it stays empty when the
-/// tree was built directly over the catalog's boxes (the executor then
-/// passes the catalog span to JoinWithPrebuiltTree instead).
-struct CachedTouchIndex : CachedArtifact {
-  Dataset boxes;
-  TouchTree tree;
+/// One family's index structure plus the exact boxes it was built over. When
+/// the artifact's key bakes in a nonzero epsilon, `owned_boxes` holds the
+/// enlarged copy; otherwise it stays empty and the structure indexes the
+/// catalog's boxes, which Boxes() then borrows — the key's dataset version
+/// guarantees the caller's pinned snapshot holds exactly those boxes.
+template <typename Structure>
+struct Cached : CachedArtifact {
+  Dataset owned_boxes;
+  Structure structure;
 
-  CachedTouchIndex(Dataset boxes_in, TouchTree tree_in, double seconds)
-      : boxes(std::move(boxes_in)), tree(std::move(tree_in)) {
+  Cached(Dataset owned, Structure built, double seconds)
+      : owned_boxes(std::move(owned)), structure(std::move(built)) {
     build_seconds = seconds;
   }
+  std::span<const Box> Boxes(std::span<const Box> catalog_boxes) const {
+    return owned_boxes.empty() ? catalog_boxes
+                               : std::span<const Box>(owned_boxes);
+  }
   size_t MemoryUsageBytes() const override {
-    return tree.MemoryUsageBytes() + VectorBytes(boxes);
+    return structure.MemoryUsageBytes() + VectorBytes(owned_boxes);
   }
 };
 
-/// A bulk-loaded STR R-tree for the indexed nested loop, same box-ownership
-/// convention as CachedTouchIndex.
-struct CachedInlIndex : CachedArtifact {
-  Dataset boxes;
+template <typename Structure>
+const Cached<Structure>& As(const IndexCache::ArtifactPtr& artifact) {
+  return static_cast<const Cached<Structure>&>(*artifact);
+}
+
+/// A bulk-loaded STR R-tree for the indexed nested loop, with SoA probe
+/// slabs over its items and child MBRs (core/overlap_kernel.h). Unlike the
+/// library join's transient slabs these are part of the artifact's
+/// accounted footprint: the cache really holds them between requests.
+struct InlIndex {
   RTree tree;
-  /// SoA probe slabs over the tree's items and child MBRs
-  /// (core/overlap_kernel.h): built once with the tree, reused by every
-  /// probe of this cached artifact, and — unlike the library join's
-  /// transient slabs — part of the artifact's accounted footprint, because
-  /// the cache really does hold these bytes between requests.
   RTreeProbeSlabs slabs;
 
-  /// `raw_boxes` is the un-enlarged source span, used for the slab build
-  /// only when no enlarged copy is owned (boxes empty).
-  CachedInlIndex(Dataset boxes_in, RTree tree_in,
-                 std::span<const Box> raw_boxes, double seconds)
-      : boxes(std::move(boxes_in)), tree(std::move(tree_in)) {
-    slabs.Build(tree,
-                boxes.empty() ? raw_boxes : std::span<const Box>(boxes));
-    build_seconds = seconds;
-  }
-  size_t MemoryUsageBytes() const override {
-    return tree.MemoryUsageBytes() + VectorBytes(boxes) +
-           slabs.MemoryUsageBytes();
+  size_t MemoryUsageBytes() const {
+    return tree.MemoryUsageBytes() + slabs.MemoryUsageBytes();
   }
 };
 
-/// One dataset's PBSM cell directory (key-sorted placements over a specific
-/// joint grid), same box-ownership convention as CachedTouchIndex. `domain`
-/// records the exact grid the placements were computed over, so a lookup
-/// can verify it got the grid it asked for (the cache key only carries a
-/// 64-bit signature of the domain).
-struct CachedPbsmDirectory : CachedArtifact {
+/// One dataset's PBSM cell directory: key-sorted placements over a specific
+/// joint grid. `domain` records that grid exactly, so a lookup can verify it
+/// got the grid it asked for (the cache key only carries a 64-bit signature
+/// of the domain).
+struct PbsmDirectory {
   Box domain = Box::Empty();
-  Dataset boxes;
   std::vector<PbsmPlacement> placements;
 
-  size_t MemoryUsageBytes() const override {
-    return VectorBytes(placements) + VectorBytes(boxes);
-  }
+  size_t MemoryUsageBytes() const { return VectorBytes(placements); }
 };
 
-/// Exact (bit-level intent, float ==) domain equality for the collision
-/// check above.
+// --- Artifact families ------------------------------------------------------
+
+/// What a family row reads: the request, its plan and the pinned snapshots.
+struct FamilyInput {
+  const JoinPlan& plan;
+  const JoinRequest& request;
+  const DatasetSnapshot& a;
+  const DatasetSnapshot& b;
+};
+
+/// One artifact a plan needs: its cache key, and the catalog boxes it is
+/// built over before the key's epsilon enlargement.
+struct ArtifactNeed {
+  IndexCacheKey key;
+  std::span<const Box> source;
+};
+
+/// The one build routine of every family: enlarge into an owned copy when
+/// the key bakes in an epsilon, else build over the borrowed catalog span,
+/// and time the whole build.
+template <typename Structure, typename Make>
+IndexCache::ArtifactPtr BuildCached(const ArtifactNeed& need,
+                                    const Make& make) {
+  Timer timer;
+  Dataset owned = need.key.epsilon > 0
+                      ? EnlargedCopy(need.source, need.key.epsilon)
+                      : Dataset{};
+  const std::span<const Box> input =
+      owned.empty() ? need.source : std::span<const Box>(owned);
+  Structure structure = make(input);
+  return std::make_shared<Cached<Structure>>(
+      std::move(owned), std::move(structure), timer.Seconds());
+}
+
+/// The one artifact TOUCH and INL need: an index over the plan's build side.
+/// The distance join enlarges side A (as the oracle does), so a tree over A
+/// bakes the enlargement into the artifact and its key, while a tree over B
+/// stays raw — epsilon-independent, reusable across thresholds — and the
+/// probe enlarges each A box instead (the intersection test is symmetric, so
+/// the result set is identical).
+std::vector<ArtifactNeed> BuildSideNeed(const FamilyInput& in, size_t shape_a,
+                                        size_t shape_b, ArtifactKind kind) {
+  const bool on_a = in.plan.build_on_a;
+  const DatasetSnapshot& side = on_a ? in.a : in.b;
+  return {{IndexCacheKey{on_a ? in.request.a : in.request.b, side.version,
+                         on_a ? in.request.epsilon : 0.0f, shape_a, shape_b,
+                         kind},
+           side.boxes}};
+}
+
+std::vector<ArtifactNeed> TouchNeeds(const FamilyInput& in) {
+  const TouchOptions& options = in.plan.touch;
+  size_t leaf_capacity = options.leaf_capacity;
+  if (leaf_capacity == 0) {
+    const size_t build_count =
+        (in.plan.build_on_a ? in.a : in.b).boxes.size();
+    const size_t partitions = std::max<size_t>(1, options.partitions);
+    leaf_capacity = (build_count + partitions - 1) / partitions;
+  }
+  return BuildSideNeed(in, std::max<size_t>(1, leaf_capacity), options.fanout,
+                       ArtifactKind::kTouchTree);
+}
+
+IndexCache::ArtifactPtr BuildTouchTree(const FamilyInput&,
+                                       const ArtifactNeed& need) {
+  return BuildCached<TouchTree>(need, [&](std::span<const Box> boxes) {
+    return TouchTree(boxes, need.key.shape_a, need.key.shape_b);
+  });
+}
+
+JoinStats ProbeTouchTree(const FamilyInput& in,
+                         std::span<const IndexCache::ArtifactPtr> artifacts,
+                         ResultCollector& out, CancellationToken cancel) {
+  const Cached<TouchTree>& entry = As<TouchTree>(artifacts[0]);
+  TouchJoin join(in.plan.touch);
+  if (in.plan.build_on_a) {
+    return join.JoinWithPrebuiltTree(entry.structure, entry.Boxes(in.a.boxes),
+                                     in.b.boxes, out, 0.0f, cancel);
+  }
+  // The tree was built raw over B, so side A carries the enlargement —
+  // applied on the fly per probe box, never as an O(|A|) copy: cache hits
+  // are allocation-free.
+  SwappedCollector swapped(out);
+  return join.JoinWithPrebuiltTree(entry.structure, entry.Boxes(in.b.boxes),
+                                   in.a.boxes, swapped, in.request.epsilon,
+                                   cancel);
+}
+
+std::vector<ArtifactNeed> InlNeeds(const FamilyInput& in) {
+  const RTreeJoinOptions tree_options;  // defaults: the paper's best config
+  return BuildSideNeed(in, tree_options.leaf_capacity, tree_options.fanout,
+                       ArtifactKind::kInlRTree);
+}
+
+IndexCache::ArtifactPtr BuildInlIndex(const FamilyInput&,
+                                      const ArtifactNeed& need) {
+  return BuildCached<InlIndex>(need, [&](std::span<const Box> boxes) {
+    InlIndex index{RTree(boxes, need.key.shape_a, need.key.shape_b,
+                         RTreeJoinOptions{}.bulkload),
+                   {}};
+    index.slabs.Build(index.tree, boxes);
+    return index;
+  });
+}
+
+JoinStats ProbeInlIndex(const FamilyInput& in,
+                        std::span<const IndexCache::ArtifactPtr> artifacts,
+                        ResultCollector& out, CancellationToken cancel) {
+  const InlIndex& index = As<InlIndex>(artifacts[0]).structure;
+  JoinStats stats;
+  Timer join_timer;
+  // The probe loop is the INL kernel; it runs here, so its span does too
+  // (the library's IndexedNestedLoopJoin opens its own). The batched probe
+  // polls cancellation at a power-of-two query stride and emits in
+  // RTree::Query's DFS order.
+  SpanScope probe_span("inl-probe");
+  if (in.plan.build_on_a) {
+    BatchedTreeProbe(index.tree, index.slabs, in.b.boxes,
+                     /*probe_epsilon=*/0.0f, /*swap_emit=*/false, &stats, out,
+                     cancel);
+  } else {
+    BatchedTreeProbe(index.tree, index.slabs, in.a.boxes, in.request.epsilon,
+                     /*swap_emit=*/true, &stats, out, cancel);
+  }
+  probe_span.End();
+  stats.join_seconds = join_timer.Seconds();
+  return stats;
+}
+
+/// PBSM's joint grid, derived from the pinned stats instead of a rescan.
+/// This is bit-identical to PbsmJoin's internal joint MBR: the stats
+/// extents are exact, and enlarging the extent equals the extent of the
+/// enlarged boxes (subtracting/adding epsilon is monotone under rounding).
+Box PbsmDomain(const FamilyInput& in) {
+  Box domain = in.a.stats.extent.Enlarged(in.request.epsilon);
+  domain.ExpandToContain(in.b.stats.extent);
+  return domain;
+}
+
+int PbsmResolution(const JoinPlan& plan) {
+  int resolution = 0;
+  ParsePbsmResolution(plan.algorithm, &resolution);
+  return resolution;
+}
+
+/// Exact (bit-level intent, float ==) domain equality.
 bool SameDomain(const Box& x, const Box& y) {
   return x.lo.x == y.lo.x && x.lo.y == y.lo.y && x.lo.z == y.lo.z &&
          x.hi.x == y.hi.x && x.hi.y == y.hi.y && x.hi.z == y.hi.z;
@@ -168,6 +306,110 @@ size_t DomainSignature(const Box& domain) {
     hash ^= bits + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
   }
   return hash;
+}
+
+/// One directory per side: A's carries the enlargement, B's is
+/// epsilon-independent (a self-join with epsilon 0 collapses both onto one
+/// cache entry). An empty side needs nothing: the join is empty.
+std::vector<ArtifactNeed> PbsmNeeds(const FamilyInput& in) {
+  if (in.a.boxes.empty() || in.b.boxes.empty()) return {};
+  const size_t resolution = static_cast<size_t>(PbsmResolution(in.plan));
+  const size_t signature = DomainSignature(PbsmDomain(in));
+  const auto need = [&](DatasetHandle handle, const DatasetSnapshot& snap,
+                        float epsilon) {
+    return ArtifactNeed{IndexCacheKey{handle, snap.version, epsilon,
+                                      resolution, signature,
+                                      ArtifactKind::kPbsmDirectory},
+                        snap.boxes};
+  };
+  return {need(in.request.a, in.a, in.request.epsilon),
+          need(in.request.b, in.b, 0.0f)};
+}
+
+IndexCache::ArtifactPtr BuildPbsmDirectory(const FamilyInput& in,
+                                           const ArtifactNeed& need) {
+  const Box domain = PbsmDomain(in);
+  const GridMapper grid(domain, static_cast<int>(need.key.shape_a));
+  return BuildCached<PbsmDirectory>(need, [&](std::span<const Box> boxes) {
+    return PbsmDirectory{domain, BuildPbsmPlacements(boxes, grid)};
+  });
+}
+
+/// A 64-bit signature collision hands back placements computed over a
+/// *different* joint grid that hashed alike; merging them with this grid
+/// would silently drop or duplicate pairs.
+bool PbsmDirectoryFits(const FamilyInput& in,
+                       const IndexCache::ArtifactPtr& artifact) {
+  return SameDomain(As<PbsmDirectory>(artifact).structure.domain,
+                    PbsmDomain(in));
+}
+
+JoinStats ProbePbsmDirectories(
+    const FamilyInput& in, std::span<const IndexCache::ArtifactPtr> artifacts,
+    ResultCollector& out, CancellationToken cancel) {
+  const Cached<PbsmDirectory>& dir_a = As<PbsmDirectory>(artifacts[0]);
+  const Cached<PbsmDirectory>& dir_b = As<PbsmDirectory>(artifacts[1]);
+  JoinStats stats;
+  Timer join_timer;
+  PbsmMergeJoin(dir_a.Boxes(in.a.boxes), dir_a.structure.placements,
+                dir_b.Boxes(in.b.boxes), dir_b.structure.placements,
+                GridMapper(PbsmDomain(in), PbsmResolution(in.plan)),
+                LocalJoinStrategy::kPlaneSweep, &stats, out, cancel);
+  stats.join_seconds = join_timer.Seconds();
+  return stats;
+}
+
+}  // namespace
+
+/// One row of the artifact-family table: everything the generic cached
+/// execute (QueryEngine::ExecuteCached) needs to run a plan as the paper's
+/// section-4.3 shortcut — acquire the index artifacts from the cache
+/// (building the missing ones), then probe them.
+struct internal::ArtifactFamily {
+  /// Whether a plan's algorithm belongs to this family.
+  bool (*matches)(const std::string& algorithm);
+  /// The `build-index` span's `kind` attr.
+  const char* kind;
+  /// The artifacts a plan needs, in acquisition order; empty when the join
+  /// is empty without probing anything.
+  std::vector<ArtifactNeed> (*needs)(const FamilyInput& in);
+  IndexCache::ArtifactPtr (*build)(const FamilyInput& in,
+                                   const ArtifactNeed& need);
+  /// Optional check that a cache hit really is the artifact this request
+  /// needs; a rejected hit is served from a private, uncached build.
+  bool (*fits)(const FamilyInput& in, const IndexCache::ArtifactPtr& artifact);
+  /// The join over the acquired artifacts (index-aligned with needs()).
+  JoinStats (*probe)(const FamilyInput& in,
+                     std::span<const IndexCache::ArtifactPtr> artifacts,
+                     ResultCollector& out, CancellationToken cancel);
+  /// True: stats.memory_bytes is the artifacts' resident bytes, the cache's
+  /// own accounting. False: the probe reports its own footprint (TOUCH's
+  /// includes its per-join assignment lists).
+  bool artifact_bytes;
+};
+
+namespace {
+
+const internal::ArtifactFamily kArtifactFamilies[] = {
+    {[](const std::string& algorithm) { return algorithm == "touch"; },
+     "touch-tree", TouchNeeds, BuildTouchTree, nullptr, ProbeTouchTree,
+     false},
+    {[](const std::string& algorithm) { return algorithm == "inl"; },
+     "inl-rtree", InlNeeds, BuildInlIndex, nullptr, ProbeInlIndex, true},
+    {[](const std::string& algorithm) {
+       int resolution = 0;
+       return ParsePbsmResolution(algorithm, &resolution);
+     },
+     "pbsm-directory", PbsmNeeds, BuildPbsmDirectory, PbsmDirectoryFits,
+     ProbePbsmDirectories, true},
+};
+
+/// The family row serving `algorithm`, or null for the uncached algorithms.
+const internal::ArtifactFamily* FamilyFor(const std::string& algorithm) {
+  for (const internal::ArtifactFamily& family : kArtifactFamilies) {
+    if (family.matches(algorithm)) return &family;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -240,22 +482,15 @@ struct internal::RequestState {
   /// enters the worker pool; its phase stays kExecuting while subscribed
   /// and Cancel is the only terminal transition.
   bool continuous = false;
+  /// An ExecuteFixed run: its root span says fixed=true in place of the
+  /// cache attr submitted requests carry.
+  bool fixed = false;
   /// Serializes this subscription's delta emission against its Cancel:
   /// every EmitDelta runs under it, and Cancel barrier-locks it after
   /// raising the stop flag, so delivery (which frees the sink) can never
   /// race an in-flight delta burst. A probe that acquires it after the
   /// stop flag rose bails before touching the sink.
   Mutex cont_sink_mutex;
-};
-
-/// One standing continuous join: the submitted request plus the shared
-/// state its deltas, Cancel and future run through. Registered in the
-/// engine's subscription list under delta_sink_mutex_; removed lazily (on
-/// the first mutation batch that finds it delivered) or by the engine's
-/// destructor.
-struct internal::ContinuousSub {
-  JoinRequest request;
-  std::shared_ptr<internal::RequestState> state;
 };
 
 namespace {
@@ -313,7 +548,11 @@ void Deliver(const RequestStatePtr& state, JoinResult&& result) {
     if (!result.plan.algorithm.empty()) {
       root.attrs.emplace_back("algorithm", result.plan.algorithm);
     }
-    if (result.index_cache_hit) root.attrs.emplace_back("cache", "hit");
+    if (state->fixed) {
+      root.attrs.emplace_back("fixed", "true");
+    } else if (result.index_cache_hit) {
+      root.attrs.emplace_back("cache", "hit");
+    }
     state->tracer->Record(std::move(root));
   }
   try {
@@ -326,6 +565,19 @@ void Deliver(const RequestStatePtr& state, JoinResult&& result) {
   }
   state->promise.set_value(std::move(result));
   state->sink.reset();
+}
+
+/// Ends a standing continuous join as Cancelled — the one teardown shared
+/// by Cancel, the engine's destructor and a baseline cut short by its
+/// deadline. With the stop flag up no *new* delta burst touches the sink;
+/// the barrier lock waits out a burst already holding the emission mutex.
+/// After it, delivery is safe — the sink can no longer be mid-call. (The
+/// subscription list entry is pruned lazily by the next mutation batch,
+/// which sees `delivered`.)
+void EndSubscription(const RequestStatePtr& state) {
+  state->cancel.RequestStop();
+  { MutexLock barrier(state->cont_sink_mutex); }
+  Deliver(state, CancelledResult());
 }
 
 /// RequestHandle::Cancel's core. Requests the cooperative stop; if the
@@ -342,16 +594,7 @@ bool CancelRequest(const RequestStatePtr& state) {
                                  "cancel-requested");
   }
   if (state->continuous) {
-    // Unsubscribe a standing query: the stop flag is up, so no *new* delta
-    // burst will touch the sink; the barrier lock waits out a burst already
-    // holding the emission mutex. After it, delivery is safe — the sink can
-    // no longer be mid-call. (The subscription list entry is pruned lazily
-    // by the next mutation batch, which sees `delivered`.)
-    { MutexLock barrier(state->cont_sink_mutex); }
-    RequestPhase expected = RequestPhase::kExecuting;
-    state->phase.compare_exchange_strong(expected, RequestPhase::kCancelled,
-                                         std::memory_order_acq_rel);
-    Deliver(state, CancelledResult());
+    EndSubscription(state);
     return first;
   }
   RequestPhase expected = RequestPhase::kQueued;
@@ -445,17 +688,10 @@ QueryEngine::QueryEngine(const EngineOptions& options)
 QueryEngine::~QueryEngine() {
   // Outstanding continuous subscriptions complete as Cancelled here, so
   // their futures and OnComplete fire exactly once even when the caller
-  // never cancelled. Same barrier discipline as CancelRequest.
+  // never cancelled.
   {
     MutexLock lock(delta_sink_mutex_);
-    for (const std::shared_ptr<internal::ContinuousSub>& sub : subs_) {
-      sub->state->cancel.RequestStop();
-      { MutexLock barrier(sub->state->cont_sink_mutex); }
-      RequestPhase expected = RequestPhase::kExecuting;
-      sub->state->phase.compare_exchange_strong(
-          expected, RequestPhase::kCancelled, std::memory_order_acq_rel);
-      Deliver(sub->state, CancelledResult());
-    }
+    for (const RequestStatePtr& sub : subs_) EndSubscription(sub);
     subs_.clear();
   }
   // Providers sample cache_/pool_, which die with this engine; a scrape
@@ -521,14 +757,14 @@ uint64_t QueryEngine::ApplyMutations(DatasetHandle dataset,
 
   MutexLock sink_lock(delta_sink_mutex_);
   for (auto it = subs_.begin(); it != subs_.end();) {
-    const std::shared_ptr<internal::ContinuousSub>& sub = *it;
-    if (sub->state->delivered.load(std::memory_order_acquire)) {
+    internal::RequestState& sub = **it;
+    if (sub.delivered.load(std::memory_order_acquire)) {
       it = subs_.erase(it);  // cancelled since the last batch
       continue;
     }
-    if (sub->request.a == dataset || sub->request.b == dataset) {
+    if (sub.request.a == dataset || sub.request.b == dataset) {
       SpanScope probe_span(mutate_span.context(), "delta-probe");
-      const size_t deltas = DeltaProbeLocked(**it, dataset, net);
+      const size_t deltas = DeltaProbeLocked(sub, dataset, net);
       probe_span.AddAttr("deltas", std::to_string(deltas));
       metrics_->counter("touch_delta_results_total").Increment(deltas);
     }
@@ -583,7 +819,7 @@ void QueryEngine::RecordOutcome(const JoinRequest& request,
   feedback_.Record(outcome);
 }
 
-double QueryEngine::PredictedBuildSeconds(const char* family,
+double QueryEngine::PredictedBuildSeconds(const std::string& family,
                                           const JoinRequest& request) const {
   // Only worth a snapshot when the cache can act on the prediction and the
   // feedback store has evidence to predict from.
@@ -603,9 +839,7 @@ double QueryEngine::PredictedBuildSeconds(const char* family,
 
 void QueryEngine::EnterPhase(const ExecContext& ctx,
                              RequestPhase phase) const {
-  if (ctx.state != nullptr) {
-    ctx.state->phase.store(phase, std::memory_order_release);
-  }
+  ctx.state->phase.store(phase, std::memory_order_release);
   // One emission point drives both observers: the tracer gets a phase
   // instant under the request root, and the legacy phase_observer hook —
   // now a thin adapter over the same event — gets the enum.
@@ -617,21 +851,19 @@ void QueryEngine::EnterPhase(const ExecContext& ctx,
   if (options_.phase_observer) options_.phase_observer(phase);
 }
 
-RequestHandle QueryEngine::SubmitInternal(const JoinRequest& request,
-                                          std::unique_ptr<ResultSink> sink,
-                                          CompletionCallback on_complete,
-                                          std::unique_ptr<JoinPlan> preplanned) {
+std::shared_ptr<internal::RequestState> QueryEngine::NewRequestState(
+    const JoinRequest& request, std::unique_ptr<ResultSink> sink,
+    CompletionCallback on_complete) {
   auto state = std::make_shared<internal::RequestState>();
   state->request = request;
   state->sink = std::move(sink);
   state->on_complete = std::move(on_complete);
-  state->preplanned = std::move(preplanned);
+  state->continuous = request.continuous;
   // A request deadline rides on the cancellation flag: once it passes,
   // every phase boundary and cooperative kernel poll sees a requested stop,
   // so the timeout holds even when nobody waits on the handle.
-  if (request.deadline.time_since_epoch().count() != 0) {
-    state->cancel.SetDeadline(request.deadline);
-  }
+  const bool has_deadline = request.deadline.time_since_epoch().count() != 0;
+  if (has_deadline) state->cancel.SetDeadline(request.deadline);
   state->tracer = tracer_.get();
   state->metrics = metrics_.get();
   state->submit_ns = TraceClockNs();
@@ -642,11 +874,16 @@ RequestHandle QueryEngine::SubmitInternal(const JoinRequest& request,
                                             : state->tracer->NewTraceId();
     state->root_span_id = state->tracer->NewSpanId();
     state->root_parent_id = request.trace_parent_span;
-    if (request.deadline.time_since_epoch().count() != 0) {
+    if (has_deadline) {
       state->tracer->RecordInstant(state->trace_id, state->root_span_id,
                                    "deadline-armed");
     }
   }
+  return state;
+}
+
+RequestHandle QueryEngine::SubmitInternal(
+    std::shared_ptr<internal::RequestState> state) {
   std::future<JoinResult> future = state->promise.get_future();
   // Pre-fill an error so that even an exception escaping ExecuteRequest's
   // own catch blocks (e.g. bad_alloc while building the error string)
@@ -710,20 +947,16 @@ RequestHandle QueryEngine::SubmitInternal(const JoinRequest& request,
 
 RequestHandle QueryEngine::Submit(const JoinRequest& request,
                                   std::unique_ptr<ResultSink> sink) {
-  if (request.continuous) {
-    return SubmitContinuous(request, std::move(sink), nullptr);
-  }
-  return SubmitInternal(request, std::move(sink), nullptr);
+  return Submit(request, std::move(sink), nullptr);
 }
 
 RequestHandle QueryEngine::Submit(const JoinRequest& request,
                                   std::unique_ptr<ResultSink> sink,
                                   CompletionCallback on_complete) {
-  if (request.continuous) {
-    return SubmitContinuous(request, std::move(sink),
-                            std::move(on_complete));
-  }
-  return SubmitInternal(request, std::move(sink), std::move(on_complete));
+  auto state = NewRequestState(request, std::move(sink),
+                               std::move(on_complete));
+  if (request.continuous) return SubmitContinuous(std::move(state));
+  return SubmitInternal(std::move(state));
 }
 
 RequestHandle QueryEngine::SubmitPlanned(JoinPlan plan,
@@ -732,10 +965,11 @@ RequestHandle QueryEngine::SubmitPlanned(JoinPlan plan,
   if (request.continuous) {
     // A standing query has no one-shot plan to execute; the scatter path
     // never sets the flag, so reject rather than silently drop the plan.
-    return SubmitContinuous(request, nullptr, nullptr);
+    return SubmitContinuous(NewRequestState(request, nullptr, nullptr));
   }
-  return SubmitInternal(request, std::move(sink), nullptr,
-                        std::make_unique<JoinPlan>(std::move(plan)));
+  auto state = NewRequestState(request, std::move(sink), nullptr);
+  state->preplanned = std::make_unique<JoinPlan>(std::move(plan));
+  return SubmitInternal(std::move(state));
 }
 
 BatchHandle QueryEngine::SubmitBatch(std::span<const JoinRequest> requests,
@@ -743,38 +977,17 @@ BatchHandle QueryEngine::SubmitBatch(std::span<const JoinRequest> requests,
   BatchHandle batch;
   batch.requests_.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    std::unique_ptr<ResultSink> sink =
-        make_sink ? make_sink(i) : nullptr;
     batch.requests_.push_back(
-        requests[i].continuous
-            ? SubmitContinuous(requests[i], std::move(sink), nullptr)
-            : SubmitInternal(requests[i], std::move(sink), nullptr));
+        Submit(requests[i], make_sink ? make_sink(i) : nullptr, nullptr));
   }
   return batch;
 }
 
 // --- Continuous joins -------------------------------------------------------
 
-RequestHandle QueryEngine::SubmitContinuous(const JoinRequest& request,
-                                            std::unique_ptr<ResultSink> sink,
-                                            CompletionCallback on_complete) {
-  auto state = std::make_shared<internal::RequestState>();
-  state->request = request;
-  state->continuous = true;
-  state->sink = std::move(sink);
-  state->on_complete = std::move(on_complete);
-  state->tracer = tracer_.get();
-  state->metrics = metrics_.get();
-  state->submit_ns = TraceClockNs();
-  if (request.deadline.time_since_epoch().count() != 0) {
-    state->cancel.SetDeadline(request.deadline);
-  }
-  if (state->tracer != nullptr) {
-    state->trace_id = request.trace_id != 0 ? request.trace_id
-                                            : state->tracer->NewTraceId();
-    state->root_span_id = state->tracer->NewSpanId();
-    state->root_parent_id = request.trace_parent_span;
-  }
+RequestHandle QueryEngine::SubmitContinuous(
+    std::shared_ptr<internal::RequestState> state) {
+  const JoinRequest& request = state->request;
   RequestHandle handle(state, state->promise.get_future());
   // Validation failures deliver an error result through the normal path, so
   // the future, sink OnComplete and completion callback all still fire.
@@ -823,26 +1036,21 @@ RequestHandle QueryEngine::SubmitContinuous(const JoinRequest& request,
   if (state->cancel.stop_requested()) {
     // Deadline (or a racing Cancel) fired during the baseline: complete now
     // instead of subscribing a dead query.
-    RequestPhase expected = RequestPhase::kExecuting;
-    state->phase.compare_exchange_strong(expected, RequestPhase::kCancelled,
-                                         std::memory_order_acq_rel);
-    Deliver(state, CancelledResult());
+    EndSubscription(state);
     return handle;
   }
   MutexLock sink_lock(delta_sink_mutex_);
-  subs_.push_back(std::make_shared<internal::ContinuousSub>(
-      internal::ContinuousSub{request, state}));
+  subs_.push_back(std::move(state));
   return handle;
 }
 
-size_t QueryEngine::DeltaProbeLocked(internal::ContinuousSub& sub,
+size_t QueryEngine::DeltaProbeLocked(internal::RequestState& state,
                                      DatasetHandle mutated,
                                      std::span<const AppliedMutation> net) {
-  internal::RequestState& state = *sub.state;
-  const bool mutated_is_a = sub.request.a == mutated;
+  const bool mutated_is_a = state.request.a == mutated;
   const DatasetHandle partner =
-      mutated_is_a ? sub.request.b : sub.request.a;
-  const float epsilon = sub.request.epsilon;
+      mutated_is_a ? state.request.b : state.request.a;
+  const float epsilon = state.request.epsilon;
   size_t deltas = 0;
   MutexLock emit_lock(state.cont_sink_mutex);
   // A Cancel that raised the stop flag before we took the emission lock may
@@ -913,6 +1121,11 @@ size_t QueryEngine::DeltaProbeLocked(internal::ContinuousSub& sub,
 
 JoinResult QueryEngine::Execute(const JoinRequest& request,
                                 ResultCollector& out) {
+  if (request.continuous) {
+    return ErrorResult(
+        "a continuous join has no final result to wait for; Submit it with "
+        "a sink and Cancel it to end the subscription");
+  }
   return Submit(request, std::make_unique<ForwardingSink>(out)).Get();
 }
 
@@ -924,7 +1137,8 @@ std::vector<JoinResult> QueryEngine::ExecuteBatch(
 JoinResult QueryEngine::ExecuteFixed(const std::string& algorithm,
                                      const JoinRequest& request,
                                      ResultCollector& out) {
-  if (algorithm == "auto") return Execute(request, out);
+  // Execute plans "auto" and rejects continuous requests.
+  if (algorithm == "auto" || request.continuous) return Execute(request, out);
   if (!catalog_.Contains(request.a) || !catalog_.Contains(request.b)) {
     return ErrorResult("invalid dataset handle (catalog has " +
                        std::to_string(catalog_.size()) + " datasets)");
@@ -932,62 +1146,24 @@ JoinResult QueryEngine::ExecuteFixed(const std::string& algorithm,
   if (MakeAlgorithm(algorithm) == nullptr) {
     return ErrorResult(UnknownAlgorithmMessage(algorithm));
   }
-  // Fixed runs get the same request root span and status counters as
-  // submitted ones (attr fixed=true tells them apart), on the caller's
-  // thread with a default (never-cancelled) context — pinned to the current
-  // dataset snapshots like every submitted request.
-  ExecContext ctx;
-  ctx.snap_a = catalog_.snapshot(request.a);
-  ctx.snap_b = catalog_.snapshot(request.b);
-  JoinPlan plan;
-  plan.algorithm = algorithm;
-  plan.build_on_a = ctx.snap_a->stats.count <= ctx.snap_b->stats.count;
-  plan.touch.join_order = plan.build_on_a ? TouchOptions::JoinOrder::kBuildOnA
-                                          : TouchOptions::JoinOrder::kBuildOnB;
-  plan.touch.threads = 1;
-  plan.rationale = "algorithm fixed by caller";
-  const int64_t start_ns = TraceClockNs();
-  if (tracer_ != nullptr) {
-    const uint64_t trace_id =
-        request.trace_id != 0 ? request.trace_id : tracer_->NewTraceId();
-    ctx.trace = TraceContext{tracer_.get(), trace_id, tracer_->NewSpanId()};
-  }
-  const auto finish = [&](JoinResult result) {
-    result.trace_id = ctx.trace.trace_id;
-    metrics_
-        ->counter(std::string("touch_engine_requests_total{status=\"") +
-                  RequestStatusName(result.status) + "\"}")
-        .Increment();
-    if (ctx.trace.active()) {
-      SpanRecord root;
-      root.trace_id = ctx.trace.trace_id;
-      root.span_id = ctx.trace.span_id;
-      root.parent_id = request.trace_parent_span;
-      root.start_ns = start_ns;
-      root.duration_ns = TraceClockNs() - start_ns;
-      root.thread = CurrentThreadIndex();
-      root.name = "request";
-      root.attrs.emplace_back("status", RequestStatusName(result.status));
-      root.attrs.emplace_back("algorithm", result.plan.algorithm);
-      root.attrs.emplace_back("fixed", "true");
-      tracer_->Record(std::move(root));
-    }
-    return result;
-  };
-  try {
-    // Fixed runs are evidence too — they are how callers (and the planner
-    // benchmark) teach the calibrator about families the static rules would
-    // never pick on a workload.
-    metrics_
-        ->counter(std::string("touch_engine_plans_total{family=\"") +
-                  AlgorithmFamily(plan.algorithm) + "\"}")
-        .Increment();
-    JoinResult result = ExecutePlanned(std::move(plan), request, out, ctx);
-    RecordOutcome(request, result);
-    return finish(std::move(result));
-  } catch (const std::exception& e) {
-    return finish(ErrorResult(std::string("execution failed: ") + e.what()));
-  }
+  // The fixed plan builds on the smaller side; it then runs like any
+  // SubmitPlanned request. Fixed runs are evidence too — they are how
+  // callers (and the planner benchmark) teach the calibrator about families
+  // the static rules would never pick on a workload.
+  auto plan = std::make_unique<JoinPlan>();
+  plan->algorithm = algorithm;
+  plan->build_on_a = catalog_.snapshot(request.a)->stats.count <=
+                     catalog_.snapshot(request.b)->stats.count;
+  plan->touch.join_order = plan->build_on_a
+                               ? TouchOptions::JoinOrder::kBuildOnA
+                               : TouchOptions::JoinOrder::kBuildOnB;
+  plan->touch.threads = 1;
+  plan->rationale = "algorithm fixed by caller";
+  auto state = NewRequestState(request, std::make_unique<ForwardingSink>(out),
+                               nullptr);
+  state->preplanned = std::move(plan);
+  state->fixed = true;
+  return SubmitInternal(std::move(state)).Get();
 }
 
 // --- Execution core ---------------------------------------------------------
@@ -1016,8 +1192,9 @@ JoinResult QueryEngine::ExecuteRequest(const JoinRequest& request,
     EnterPhase(pinned, RequestPhase::kPlanning);
     JoinPlan plan;
     if (preplanned != nullptr) {
-      // Scattered shard pairs execute the plan they arrived with; their
-      // "plan" span lives at the scatter site that computed it.
+      // Scattered shard pairs and fixed runs execute the plan they arrived
+      // with; a shard pair's "plan" span lives at the scatter site that
+      // computed it.
       plan = *preplanned;
     } else {
       SpanScope plan_span(pinned.trace, "plan");
@@ -1052,7 +1229,32 @@ JoinResult QueryEngine::ExecuteRequest(const JoinRequest& request,
         .Increment();
     // Boundary: planned → index build.
     if (ctx.cancel.stop_requested()) return CancelledResult();
-    JoinResult result = ExecutePlanned(std::move(plan), request, out, pinned);
+    // Time-to-first-Emit is measured here for every algorithm. The kernels
+    // emit dense slot indices; while a dataset keeps slot/id identity
+    // (never mutated, or mutated append-only) that already *is* the object
+    // id, and once a delete has swapped slots around the pairs are remapped
+    // on the way out, so callers always see stable ids.
+    FirstEmitCollector first_emit(out, pinned.trace);
+    RemapCollector remapped(first_emit, *pinned.snap_a, *pinned.snap_b);
+    ResultCollector& collector =
+        pinned.snap_a->identity_ids() && pinned.snap_b->identity_ids()
+            ? static_cast<ResultCollector&>(first_emit)
+            : remapped;
+    const internal::ArtifactFamily* family = FamilyFor(plan.algorithm);
+    JoinResult result =
+        family != nullptr
+            ? ExecuteCached(*family, std::move(plan), request, collector,
+                            pinned)
+            : ExecuteUncached(std::move(plan), request, collector, pinned);
+    // NBPS measures its own (stream-internal) first-result latency; keep
+    // the tighter self-report when present, fill in generically otherwise.
+    if (result.stats.first_result_seconds == 0.0 && first_emit.seen()) {
+      result.stats.first_result_seconds = first_emit.elapsed_seconds();
+    }
+    if (result.ok() && result.stats.first_result_seconds > 0.0) {
+      metrics_->histogram("touch_engine_first_result_seconds")
+          .Observe(result.stats.first_result_seconds);
+    }
     // One flag for every executor: a request whose cancel fired mid-run
     // (the kernels bail cooperatively) or right at the end reports
     // Cancelled — its sink may have seen partial pairs either way.
@@ -1068,50 +1270,92 @@ JoinResult QueryEngine::ExecuteRequest(const JoinRequest& request,
   }
 }
 
-JoinResult QueryEngine::ExecutePlanned(JoinPlan plan,
-                                       const JoinRequest& request,
-                                       ResultCollector& out,
-                                       const ExecContext& ctx) {
-  FirstEmitCollector first_emit(out, ctx.trace);
-  // The kernels emit dense slot indices. While a dataset keeps slot/id
-  // identity (never mutated, or mutated append-only) that already *is* the
-  // object id; once a delete has swapped slots around, remap on the way out
-  // so callers always see stable ids.
-  RemapCollector remapped(first_emit, *ctx.snap_a, *ctx.snap_b);
-  const bool remap =
-      !ctx.snap_a->identity_ids() || !ctx.snap_b->identity_ids();
-  JoinResult result = ExecutePlannedImpl(
-      std::move(plan), request,
-      remap ? static_cast<ResultCollector&>(remapped) : first_emit, ctx);
-  // NBPS measures its own (stream-internal) first-result latency; keep the
-  // tighter self-report when present, fill in generically otherwise.
-  if (result.stats.first_result_seconds == 0.0 && first_emit.seen()) {
-    result.stats.first_result_seconds = first_emit.elapsed_seconds();
+JoinResult QueryEngine::ExecuteCached(const internal::ArtifactFamily& family,
+                                      JoinPlan plan,
+                                      const JoinRequest& request,
+                                      ResultCollector& out,
+                                      const ExecContext& ctx) {
+  JoinResult result;
+  Timer total;
+  const FamilyInput in{plan, request, *ctx.snap_a, *ctx.snap_b};
+  const std::vector<ArtifactNeed> needs = family.needs(in);
+  if (needs.empty()) {
+    result.stats.total_seconds = total.Seconds();
+    result.plan = std::move(plan);
+    return result;
   }
-  if (result.ok() && result.stats.first_result_seconds > 0.0) {
-    metrics_->histogram("touch_engine_first_result_seconds")
-        .Observe(result.stats.first_result_seconds);
+  EnterPhase(ctx, RequestPhase::kBuildingIndex);
+  SpanScope build_span(ctx.trace, "build-index");
+  build_span.AddAttr("kind", family.kind);
+  Timer build_phase;
+  std::vector<IndexCache::ArtifactPtr> artifacts;
+  artifacts.reserve(needs.size());
+  size_t misses = 0;
+  double build_seconds = 0.0;
+  for (const ArtifactNeed& need : needs) {
+    bool missed = false;
+    IndexCache::ArtifactPtr artifact = cache_.GetOrBuild(
+        need.key,
+        [&]() -> IndexCache::ArtifactPtr {
+          missed = true;
+          return family.build(in, need);
+        },
+        [&] {
+          return PredictedBuildSeconds(AlgorithmFamily(plan.algorithm),
+                                       request);
+        });
+    if (family.fits != nullptr && !family.fits(in, artifact)) {
+      missed = true;
+      artifact = family.build(in, need);
+    }
+    if (missed) {
+      ++misses;
+      build_seconds += artifact->build_seconds;
+    }
+    artifacts.push_back(std::move(artifact));
   }
+  result.index_cache_hit = misses == 0;
+  result.partial_index_cache_hit = misses > 0 && misses < needs.size();
+  build_span.AddAttr("cache", result.index_cache_hit ? "hit"
+                              : result.partial_index_cache_hit ? "partial"
+                                                               : "miss");
+  build_span.End();
+  metrics_->histogram("touch_engine_build_seconds")
+      .Observe(build_phase.Seconds());
+  // Boundary: index build → execute. Builds are shared artifacts and always
+  // run to completion (they stay cached for other requests); a cancel that
+  // arrived mid-build takes effect here.
+  if (ctx.cancel.stop_requested()) {
+    result.status = RequestStatus::kCancelled;
+    result.plan = std::move(plan);
+    return result;
+  }
+  EnterPhase(ctx, RequestPhase::kExecuting);
+  SpanScope exec_span(ctx.trace, "execute");
+  exec_span.AddAttr("algorithm", plan.algorithm);
+  Timer exec_timer;
+  result.stats = family.probe(in, artifacts, out, ctx.cancel);
+  exec_span.End();
+  metrics_->histogram("touch_engine_execute_seconds")
+      .Observe(exec_timer.Seconds());
+  if (family.artifact_bytes) {
+    result.stats.memory_bytes = 0;
+    for (const IndexCache::ArtifactPtr& artifact : artifacts) {
+      result.stats.memory_bytes += artifact->MemoryUsageBytes();
+    }
+  }
+  // A miss pays the build it triggered; a hit reuses the cached artifact
+  // for free — the productized section-4.3 shortcut.
+  result.stats.build_seconds = build_seconds;
+  result.stats.total_seconds = total.Seconds();
+  result.plan = std::move(plan);
   return result;
 }
 
-JoinResult QueryEngine::ExecutePlannedImpl(JoinPlan plan,
-                                           const JoinRequest& request,
-                                           ResultCollector& out,
-                                           const ExecContext& ctx) {
-  if (options_.cache_indexes) {
-    if (plan.algorithm == "touch") {
-      return ExecuteTouch(std::move(plan), request, out, ctx);
-    }
-    if (plan.algorithm == "inl") {
-      return ExecuteInl(std::move(plan), request, out, ctx);
-    }
-    int resolution = 0;
-    if (ParsePbsmResolution(plan.algorithm, &resolution)) {
-      return ExecutePbsm(std::move(plan), request, resolution, out, ctx);
-    }
-  }
-
+JoinResult QueryEngine::ExecuteUncached(JoinPlan plan,
+                                        const JoinRequest& request,
+                                        ResultCollector& out,
+                                        const ExecContext& ctx) {
   JoinResult result;
   AlgorithmConfig config;
   config.touch = plan.touch;
@@ -1120,7 +1364,7 @@ JoinResult QueryEngine::ExecutePlannedImpl(JoinPlan plan,
   if (algorithm == nullptr) {
     return ErrorResult(UnknownAlgorithmMessage(plan.algorithm));
   }
-  // The uncached fallback path (nl, ps, the R-tree zoo) has no cooperative
+  // The uncached algorithms (nl, ps, the R-tree zoo) have no cooperative
   // hooks: a cancel takes effect at the next phase boundary, i.e. after the
   // join. The planner only sends small inputs here, so the latency gap is
   // bounded by design.
@@ -1130,12 +1374,11 @@ JoinResult QueryEngine::ExecutePlannedImpl(JoinPlan plan,
   Timer exec_timer;
   const Dataset& a = ctx.snap_a->boxes;
   const Dataset& b = ctx.snap_b->boxes;
-  // Orientation-sensitive algorithms (inl: index over the first input) get
-  // swapped inputs when the plan builds on B; "touch" orients itself through
-  // join_order instead, and the symmetric algorithms are always planned with
-  // build_on_a. A distance join may enlarge either side, so swapping keeps
-  // the same result set.
-  if (plan.build_on_a || plan.algorithm == "touch") {
+  // Orientation-sensitive algorithms get swapped inputs when the plan
+  // builds on B; the symmetric ones are always planned with build_on_a. A
+  // distance join may enlarge either side, so swapping keeps the same
+  // result set.
+  if (plan.build_on_a) {
     result.stats = DistanceJoin(*algorithm, a, b, request.epsilon, out);
   } else {
     SwappedCollector swapped(out);
@@ -1144,306 +1387,6 @@ JoinResult QueryEngine::ExecutePlannedImpl(JoinPlan plan,
   exec_span.End();
   metrics_->histogram("touch_engine_execute_seconds")
       .Observe(exec_timer.Seconds());
-  result.plan = std::move(plan);
-  return result;
-}
-
-JoinResult QueryEngine::ExecuteTouch(JoinPlan plan, const JoinRequest& request,
-                                     ResultCollector& out,
-                                     const ExecContext& ctx) {
-  JoinResult result;
-  Timer total;
-  const Dataset& a = ctx.snap_a->boxes;
-  const Dataset& b = ctx.snap_b->boxes;
-  const DatasetHandle build_handle = plan.build_on_a ? request.a : request.b;
-  const DatasetSnapshot& build_snap =
-      plan.build_on_a ? *ctx.snap_a : *ctx.snap_b;
-  const Dataset& build_src = build_snap.boxes;
-  // The distance join enlarges side A; when the tree is built over A the
-  // enlargement is baked into the cached index (and into its cache key).
-  const float build_epsilon = plan.build_on_a ? request.epsilon : 0.0f;
-
-  const TouchOptions& touch_options = plan.touch;
-  size_t leaf_capacity = touch_options.leaf_capacity;
-  if (leaf_capacity == 0) {
-    const size_t partitions = std::max<size_t>(1, touch_options.partitions);
-    leaf_capacity = (build_src.size() + partitions - 1) / partitions;
-  }
-  leaf_capacity = std::max<size_t>(1, leaf_capacity);
-
-  const IndexCacheKey key{build_handle, build_snap.version, build_epsilon,
-                          leaf_capacity, touch_options.fanout,
-                          ArtifactKind::kTouchTree};
-  EnterPhase(ctx, RequestPhase::kBuildingIndex);
-  SpanScope build_span(ctx.trace, "build-index");
-  build_span.AddAttr("kind", "touch-tree");
-  Timer build_phase;
-  bool missed = false;
-  const IndexCache::ArtifactPtr artifact = cache_.GetOrBuild(
-      key,
-      [&]() -> IndexCache::ArtifactPtr {
-        missed = true;
-        Timer build_timer;
-        Dataset boxes = build_epsilon > 0
-                            ? EnlargedCopy(build_src, build_epsilon)
-                            : Dataset{};
-        const std::span<const Box> tree_input =
-            boxes.empty() ? std::span<const Box>(build_src)
-                          : std::span<const Box>(boxes);
-        TouchTree tree(tree_input, leaf_capacity, touch_options.fanout);
-        return std::make_shared<CachedTouchIndex>(
-            std::move(boxes), std::move(tree), build_timer.Seconds());
-      },
-      [&] { return PredictedBuildSeconds("touch", request); });
-  result.index_cache_hit = !missed;
-  build_span.AddAttr("cache", missed ? "miss" : "hit");
-  build_span.End();
-  metrics_->histogram("touch_engine_build_seconds")
-      .Observe(build_phase.Seconds());
-  // Boundary: index build → execute. Builds are shared artifacts and always
-  // run to completion (the tree stays cached for other requests); a cancel
-  // that arrived mid-build takes effect here.
-  if (ctx.cancel.stop_requested()) {
-    result.status = RequestStatus::kCancelled;
-    result.plan = std::move(plan);
-    return result;
-  }
-  EnterPhase(ctx, RequestPhase::kExecuting);
-  SpanScope exec_span(ctx.trace, "execute");
-  exec_span.AddAttr("algorithm", "touch");
-  Timer exec_timer;
-  const auto* entry = static_cast<const CachedTouchIndex*>(artifact.get());
-
-  const std::span<const Box> tree_boxes =
-      entry->boxes.empty() ? std::span<const Box>(build_src)
-                           : std::span<const Box>(entry->boxes);
-  TouchJoin join(touch_options);
-  if (plan.build_on_a) {
-    result.stats = join.JoinWithPrebuiltTree(entry->tree, tree_boxes, b, out,
-                                             0.0f, ctx.cancel);
-  } else {
-    // The tree was built raw over B, so side A carries the distance-join
-    // enlargement — applied on the fly per probe box (as the cached INL
-    // path does), never as an O(|A|) copy: cache hits are allocation-free.
-    SwappedCollector swapped(out);
-    result.stats = join.JoinWithPrebuiltTree(entry->tree, tree_boxes, a,
-                                             swapped, request.epsilon,
-                                             ctx.cancel);
-  }
-  exec_span.End();
-  metrics_->histogram("touch_engine_execute_seconds")
-      .Observe(exec_timer.Seconds());
-  // A miss pays the build it triggered; a hit reuses the cached tree for
-  // free — the productized section-4.3 shortcut.
-  result.stats.build_seconds = missed ? entry->build_seconds : 0.0;
-  result.stats.total_seconds = total.Seconds();
-  result.plan = std::move(plan);
-  return result;
-}
-
-JoinResult QueryEngine::ExecuteInl(JoinPlan plan, const JoinRequest& request,
-                                   ResultCollector& out,
-                                   const ExecContext& ctx) {
-  JoinResult result;
-  Timer total;
-  const Dataset& a = ctx.snap_a->boxes;
-  const Dataset& b = ctx.snap_b->boxes;
-  const DatasetHandle build_handle = plan.build_on_a ? request.a : request.b;
-  const DatasetSnapshot& build_snap =
-      plan.build_on_a ? *ctx.snap_a : *ctx.snap_b;
-  const Dataset& build_src = build_snap.boxes;
-  // Side A carries the distance-join enlargement (same convention as the
-  // TOUCH path and the oracle): a tree over A bakes it into the cached
-  // index; a tree over B stays raw — and therefore epsilon-independent,
-  // reusable across thresholds — with the enlargement moved into each probe
-  // box (the intersection test is symmetric, so the result set is
-  // identical).
-  const float build_epsilon = plan.build_on_a ? request.epsilon : 0.0f;
-  const RTreeJoinOptions tree_options;  // defaults: the paper's best config
-
-  const IndexCacheKey key{build_handle, build_snap.version, build_epsilon,
-                          tree_options.leaf_capacity, tree_options.fanout,
-                          ArtifactKind::kInlRTree};
-  EnterPhase(ctx, RequestPhase::kBuildingIndex);
-  SpanScope build_span(ctx.trace, "build-index");
-  build_span.AddAttr("kind", "inl-rtree");
-  Timer build_phase;
-  bool missed = false;
-  const IndexCache::ArtifactPtr artifact = cache_.GetOrBuild(
-      key,
-      [&]() -> IndexCache::ArtifactPtr {
-        missed = true;
-        Timer build_timer;
-        Dataset boxes = build_epsilon > 0
-                            ? EnlargedCopy(build_src, build_epsilon)
-                            : Dataset{};
-        const std::span<const Box> tree_input =
-            boxes.empty() ? std::span<const Box>(build_src)
-                          : std::span<const Box>(boxes);
-        RTree tree(tree_input, tree_options.leaf_capacity, tree_options.fanout,
-                   tree_options.bulkload);
-        return std::make_shared<CachedInlIndex>(
-            std::move(boxes), std::move(tree),
-            std::span<const Box>(build_src), build_timer.Seconds());
-      },
-      [&] { return PredictedBuildSeconds("inl", request); });
-  result.index_cache_hit = !missed;
-  build_span.AddAttr("cache", missed ? "miss" : "hit");
-  build_span.End();
-  metrics_->histogram("touch_engine_build_seconds")
-      .Observe(build_phase.Seconds());
-  // Boundary: index build → execute (builds always run to completion and
-  // stay cached; see ExecuteTouch).
-  if (ctx.cancel.stop_requested()) {
-    result.status = RequestStatus::kCancelled;
-    result.plan = std::move(plan);
-    return result;
-  }
-  EnterPhase(ctx, RequestPhase::kExecuting);
-  SpanScope exec_span(ctx.trace, "execute");
-  exec_span.AddAttr("algorithm", "inl");
-  Timer exec_timer;
-  const auto* entry = static_cast<const CachedInlIndex*>(artifact.get());
-  JoinStats& stats = result.stats;
-  Timer join_timer;
-  // The probe loop is the INL kernel; it lives inline here, so its span
-  // does too (the library's IndexedNestedLoopJoin opens its own). The
-  // batched probe polls cancellation at the same power-of-two query stride
-  // the scalar loops used, and emits in RTree::Query's DFS order.
-  SpanScope probe_span("inl-probe");
-  if (plan.build_on_a) {
-    BatchedTreeProbe(entry->tree, entry->slabs, b, /*probe_epsilon=*/0.0f,
-                     /*swap_emit=*/false, &stats, out, ctx.cancel);
-  } else {
-    BatchedTreeProbe(entry->tree, entry->slabs, a, request.epsilon,
-                     /*swap_emit=*/true, &stats, out, ctx.cancel);
-  }
-  probe_span.End();
-  stats.join_seconds = join_timer.Seconds();
-  exec_span.End();
-  metrics_->histogram("touch_engine_execute_seconds")
-      .Observe(exec_timer.Seconds());
-  // Tree, any owned enlarged copy, and the probe slabs — the same
-  // accounting the cache uses.
-  stats.memory_bytes = entry->MemoryUsageBytes();
-  stats.build_seconds = missed ? entry->build_seconds : 0.0;
-  stats.total_seconds = total.Seconds();
-  result.plan = std::move(plan);
-  return result;
-}
-
-JoinResult QueryEngine::ExecutePbsm(JoinPlan plan, const JoinRequest& request,
-                                    int resolution, ResultCollector& out,
-                                    const ExecContext& ctx) {
-  JoinResult result;
-  Timer total;
-  const Dataset& a = ctx.snap_a->boxes;
-  const Dataset& b = ctx.snap_b->boxes;
-  if (a.empty() || b.empty()) {
-    result.stats.total_seconds = total.Seconds();
-    result.plan = std::move(plan);
-    return result;
-  }
-  // The joint grid domain, derived from the pinned stats instead of a
-  // rescan. This is bit-identical to PbsmJoin's internal joint MBR: the
-  // stats extents are exact, and enlarging the extent equals the extent of
-  // the enlarged boxes (subtracting/adding epsilon is monotone under
-  // rounding).
-  Box domain = ctx.snap_a->stats.extent.Enlarged(request.epsilon);
-  domain.ExpandToContain(ctx.snap_b->stats.extent);
-  const GridMapper grid(domain, resolution);
-  const size_t signature = DomainSignature(domain);
-
-  bool missed_a = false;
-  bool missed_b = false;
-  const auto build_directory = [&](float epsilon, const Dataset& src) {
-    Timer build_timer;
-    auto built = std::make_shared<CachedPbsmDirectory>();
-    built->domain = domain;
-    built->boxes = epsilon > 0 ? EnlargedCopy(src, epsilon) : Dataset{};
-    const std::span<const Box> input =
-        built->boxes.empty() ? std::span<const Box>(src)
-                             : std::span<const Box>(built->boxes);
-    built->placements = BuildPbsmPlacements(input, grid);
-    built->build_seconds = build_timer.Seconds();
-    return built;
-  };
-  const auto expected_build = [&] {
-    return PredictedBuildSeconds("pbsm", request);
-  };
-  const auto directory =
-      [&](DatasetHandle handle, uint64_t version, float epsilon,
-          const Dataset& src,
-          bool* missed) -> std::shared_ptr<const CachedPbsmDirectory> {
-    const IndexCacheKey key{handle, version, epsilon,
-                            static_cast<size_t>(resolution), signature,
-                            ArtifactKind::kPbsmDirectory};
-    const auto cached = std::static_pointer_cast<const CachedPbsmDirectory>(
-        cache_.GetOrBuild(
-            key,
-            [&]() -> IndexCache::ArtifactPtr {
-              *missed = true;
-              return build_directory(epsilon, src);
-            },
-            expected_build));
-    if (SameDomain(cached->domain, domain)) return cached;
-    // 64-bit signature collision: the cached placements were computed over
-    // a *different* joint grid that hashed alike. Merging them with this
-    // grid would silently drop or duplicate pairs, so serve this request
-    // from a private, uncached build instead.
-    *missed = true;
-    return build_directory(epsilon, src);
-  };
-  // A's directory carries the enlargement; B's is epsilon-independent. A
-  // self-join with epsilon 0 collapses both onto one cache entry.
-  EnterPhase(ctx, RequestPhase::kBuildingIndex);
-  SpanScope build_span(ctx.trace, "build-index");
-  build_span.AddAttr("kind", "pbsm-directory");
-  Timer build_phase;
-  const auto dir_a = directory(request.a, ctx.snap_a->version,
-                               request.epsilon, a, &missed_a);
-  const auto dir_b = directory(request.b, ctx.snap_b->version, 0.0f, b,
-                               &missed_b);
-  result.index_cache_hit = !missed_a && !missed_b;
-  result.partial_index_cache_hit = missed_a != missed_b;
-  build_span.AddAttr("cache", result.index_cache_hit
-                                  ? "hit"
-                                  : (result.partial_index_cache_hit
-                                         ? "partial"
-                                         : "miss"));
-  build_span.End();
-  metrics_->histogram("touch_engine_build_seconds")
-      .Observe(build_phase.Seconds());
-  // Boundary: index build → execute (directories always run to completion
-  // and stay cached; see ExecuteTouch).
-  if (ctx.cancel.stop_requested()) {
-    result.status = RequestStatus::kCancelled;
-    result.plan = std::move(plan);
-    return result;
-  }
-  EnterPhase(ctx, RequestPhase::kExecuting);
-  SpanScope exec_span(ctx.trace, "execute");
-  exec_span.AddAttr("algorithm", plan.algorithm);
-  Timer exec_timer;
-
-  const std::span<const Box> span_a =
-      dir_a->boxes.empty() ? std::span<const Box>(a)
-                           : std::span<const Box>(dir_a->boxes);
-  JoinStats& stats = result.stats;
-  Timer join_timer;
-  PbsmMergeJoin(span_a, dir_a->placements, b, dir_b->placements, grid,
-                LocalJoinStrategy::kPlaneSweep, &stats, out, ctx.cancel);
-  stats.join_seconds = join_timer.Seconds();
-  exec_span.End();
-  metrics_->histogram("touch_engine_execute_seconds")
-      .Observe(exec_timer.Seconds());
-  // Both resident directories (placements + owned enlarged copies), the
-  // cache's own accounting; unlike PbsmJoin::Join, no transient radix-sort
-  // scratch is in play on the cached path.
-  stats.memory_bytes = dir_a->MemoryUsageBytes() + dir_b->MemoryUsageBytes();
-  stats.build_seconds = (missed_a ? dir_a->build_seconds : 0.0) +
-                        (missed_b ? dir_b->build_seconds : 0.0);
-  stats.total_seconds = total.Seconds();
   result.plan = std::move(plan);
   return result;
 }

@@ -58,10 +58,6 @@ struct EngineOptions {
   /// Worker threads for submitted requests; <= 0 uses hardware concurrency.
   int threads = 0;
   PlannerOptions planner;
-  /// Reuse built index artifacts (TOUCH trees, INL R-trees, PBSM cell
-  /// directories) across queries (the paper's prebuilt-index ablation,
-  /// productized). Off forces every query to build cold.
-  bool cache_indexes = true;
   /// Byte cap on the index cache (0 = unbounded). Once resident artifacts
   /// exceed it, the lowest build-cost-density ones are evicted (ties fall
   /// back to LRU); see IndexCache.
@@ -208,7 +204,7 @@ using SinkFactory = std::function<std::unique_ptr<ResultSink>(size_t)>;
 
 namespace internal {
 struct RequestState;
-struct ContinuousSub;
+struct ArtifactFamily;
 }  // namespace internal
 
 /// Handle of one submitted request: the result future plus the request's
@@ -302,8 +298,8 @@ class BatchHandle {
 /// of every other request (a slow join never delays a fast one's result)
 /// plus the request's cancellation side — with an optional engine-owned
 /// ResultSink for pair delivery and a completion-callback overload.
-/// Execute/ExecuteBatch are thin synchronous wrappers over
-/// Submit/SubmitBatch.
+/// Execute/ExecuteFixed/ExecuteBatch are thin synchronous wrappers over
+/// the same submit path.
 ///
 /// Request lifecycle: queued → planning → building-index → executing →
 /// completed, with cancelled reachable from every non-terminal phase. The
@@ -414,12 +410,17 @@ class QueryEngine {
 
   /// Plans and executes one join, emitting (a, b) pairs into `out`; blocks
   /// until done. Thin wrapper: Submit + future wait. `out` is only touched
-  /// by the single worker executing this request, never concurrently.
+  /// by the single worker executing this request, never concurrently. A
+  /// continuous request has no final result to wait for and completes with
+  /// kError; Submit it instead.
   JoinResult Execute(const JoinRequest& request, ResultCollector& out);
 
-  /// Executes with a fixed algorithm ("auto" falls back to the planner).
-  /// Unknown names fill JoinResult::error — with the accepted list — and
-  /// execute nothing.
+  /// Executes with a fixed algorithm ("auto" falls back to the planner);
+  /// blocks until done. Unknown names fill JoinResult::error — with the
+  /// accepted list — and execute nothing. The fixed plan runs through the
+  /// submit path like a SubmitPlanned request: it executes on the worker
+  /// pool and follows Submit's deadline and cancellation rules. Like every
+  /// synchronous wrapper it must not be called from sink callbacks.
   JoinResult ExecuteFixed(const std::string& algorithm,
                           const JoinRequest& request, ResultCollector& out);
 
@@ -464,9 +465,8 @@ class QueryEngine {
   const WorkerPool& pool() const { return pool_; }
 
  private:
-  /// Cancellation token plus (for submitted requests) the shared state the
-  /// phase transitions are published through; synchronous fixed runs use a
-  /// default-constructed context (never cancelled, no phase publishing).
+  /// Cancellation token plus the shared state the phase transitions are
+  /// published through.
   struct ExecContext {
     CancellationToken cancel;
     internal::RequestState* state = nullptr;
@@ -481,50 +481,50 @@ class QueryEngine {
     DatasetSnapshotPtr snap_b;
   };
 
-  RequestHandle SubmitInternal(const JoinRequest& request,
-                               std::unique_ptr<ResultSink> sink,
-                               CompletionCallback on_complete,
-                               std::unique_ptr<JoinPlan> preplanned = nullptr);
+  /// The state every request starts from: sink, callback, deadline and
+  /// trace identity (shared by the one-shot and continuous submit paths).
+  std::shared_ptr<internal::RequestState> NewRequestState(
+      const JoinRequest& request, std::unique_ptr<ResultSink> sink,
+      CompletionCallback on_complete);
+  /// Enqueues a one-shot request on the worker pool.
+  RequestHandle SubmitInternal(std::shared_ptr<internal::RequestState> state);
   /// Publishes a phase transition (request state + phase_observer).
   void EnterPhase(const ExecContext& ctx, RequestPhase phase) const;
-  /// The per-request core every path funnels into: validates, plans (or
-  /// adopts `preplanned`), executes, converts failures into
+  /// The per-request core every one-shot request funnels into: validates,
+  /// plans (or adopts `preplanned`), measures time-to-first-result,
+  /// dispatches to ExecuteCached or ExecuteUncached, converts failures into
   /// JoinResult::error and cooperative cancellation into status =
   /// kCancelled.
   JoinResult ExecuteRequest(const JoinRequest& request, ResultCollector& out,
                             const ExecContext& ctx,
                             const JoinPlan* preplanned = nullptr);
-  /// Wraps `out` in the first-result-latency measurement (the generic
-  /// replacement for NBPS's private first_result_seconds), then dispatches
-  /// to ExecutePlannedImpl.
-  JoinResult ExecutePlanned(JoinPlan plan, const JoinRequest& request,
-                            ResultCollector& out, const ExecContext& ctx);
-  JoinResult ExecutePlannedImpl(JoinPlan plan, const JoinRequest& request,
-                                ResultCollector& out, const ExecContext& ctx);
-  JoinResult ExecuteTouch(JoinPlan plan, const JoinRequest& request,
-                          ResultCollector& out, const ExecContext& ctx);
-  JoinResult ExecuteInl(JoinPlan plan, const JoinRequest& request,
-                        ResultCollector& out, const ExecContext& ctx);
-  JoinResult ExecutePbsm(JoinPlan plan, const JoinRequest& request,
-                         int resolution, ResultCollector& out,
-                         const ExecContext& ctx);
+  /// The one execute path of the cacheable families (TOUCH, INL, PBSM):
+  /// acquire the plan's artifacts from the index cache, building missing
+  /// ones (phase kBuildingIndex, span build-index), then probe them (phase
+  /// kExecuting, span execute). See the family table in engine.cc.
+  JoinResult ExecuteCached(const internal::ArtifactFamily& family,
+                           JoinPlan plan, const JoinRequest& request,
+                           ResultCollector& out, const ExecContext& ctx);
+  /// The algorithms without a cacheable artifact (the planner sends small
+  /// inputs to nl/ps): build and join in one library call.
+  JoinResult ExecuteUncached(JoinPlan plan, const JoinRequest& request,
+                             ResultCollector& out, const ExecContext& ctx);
   /// Feeds one finished request's measurements into the feedback store
   /// (fully cold, successful runs only; cancelled runs have partial stats
   /// and are never evidence).
   void RecordOutcome(const JoinRequest& request, const JoinResult& result);
   /// Fitted build-cost prediction for the cache's pre-admission policy
   /// (0 when admission or calibration is off, or the family is unmeasured).
-  double PredictedBuildSeconds(const char* family,
+  double PredictedBuildSeconds(const std::string& family,
                                const JoinRequest& request) const;
   /// Continuous-submit path: registers the standing query and emits the
   /// initial pair set as kAdded deltas (under the mutation serialization,
   /// so no batch can interleave with the baseline).
-  RequestHandle SubmitContinuous(const JoinRequest& request,
-                                 std::unique_ptr<ResultSink> sink,
-                                 CompletionCallback on_complete);
+  RequestHandle SubmitContinuous(
+      std::shared_ptr<internal::RequestState> state);
   /// Emits one subscription's delta burst for a folded mutation batch.
   /// Returns the number of deltas emitted. delta_sink_mutex_ held.
-  size_t DeltaProbeLocked(internal::ContinuousSub& sub,
+  size_t DeltaProbeLocked(internal::RequestState& state,
                           DatasetHandle mutated,
                           std::span<const AppliedMutation> net)
       REQUIRES(delta_sink_mutex_);
@@ -545,7 +545,9 @@ class QueryEngine {
   /// Guards the standing-query list; also the lock delta emission runs
   /// under. Acquired after mutation_mutex_, never before it.
   Mutex delta_sink_mutex_;
-  std::vector<std::shared_ptr<internal::ContinuousSub>> subs_
+  /// Subscribed continuous requests; an entry is removed lazily (by the
+  /// first mutation batch that finds it delivered) or by the destructor.
+  std::vector<std::shared_ptr<internal::RequestState>> subs_
       GUARDED_BY(delta_sink_mutex_);
   WorkerPool pool_;
 };

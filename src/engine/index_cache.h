@@ -64,10 +64,10 @@ struct IndexCacheKey {
   }
 };
 
-/// Base class of everything the cache can hold. Concrete artifacts (the
-/// engine's CachedTouchIndex, CachedInlIndex, CachedPbsmDirectory) are
-/// defined next to their executor; the cache only needs a size and a
-/// virtual destructor. Artifacts are immutable once built and shared across
+/// Base class of everything the cache can hold. Concrete artifacts (one per
+/// row of the engine's artifact-family table) are defined next to that
+/// table in engine.cc; the cache only needs a size and a virtual
+/// destructor. Artifacts are immutable once built and shared across
 /// threads, so implementations must be safe for concurrent const access.
 struct CachedArtifact {
   virtual ~CachedArtifact() = default;

@@ -246,21 +246,29 @@ ShardedQueryEngine::ShardedQueryEngine(const EngineOptions& options)
 DatasetHandle ShardedQueryEngine::RegisterDataset(std::string name,
                                                   Dataset boxes) {
   ShardedCatalog::Entry entry;
-  entry.name = name;
-  entry.global_stats = ComputeDatasetStats(boxes);
+  entry.name = std::move(name);
   entry.next_global = static_cast<uint32_t>(boxes.size());
-  // The routing grid is frozen per partition epoch: mutations must route
-  // with the exact (domain, resolution) the assignment pass mapped centers
-  // with, not whatever the stats drift to later.
-  entry.route_domain = entry.global_stats.extent;
-  entry.route_resolution = std::max(1, entry.global_stats.histogram_resolution);
+  InstallPartition(entry, boxes, {}, "");
+  return catalog_.Add(std::move(entry));
+}
+
+void ShardedQueryEngine::InstallPartition(ShardedCatalog::Entry& entry,
+                                          const Dataset& boxes,
+                                          std::span<const uint32_t> gids,
+                                          const std::string& epoch) {
+  DatasetStats global_stats = ComputeDatasetStats(boxes);
   ShardPartition partition =
-      PartitionIntoShards(boxes, entry.global_stats, shards_);
-  entry.shard_of = std::make_shared<const std::vector<uint32_t>>(
-      std::move(partition.shard_of));
-  entry.shards.reserve(partition.shards.size());
+      PartitionIntoShards(boxes, global_stats, shards_);
+  std::vector<uint32_t> shard_of(entry.next_global, kNoShard);
+  std::vector<ShardedCatalog::Shard> shards;
+  shards.reserve(partition.shards.size());
   for (size_t k = 0; k < partition.shards.size(); ++k) {
     DatasetShard& piece = partition.shards[k];
+    // piece.to_global indexes `boxes`; translate to the preserved ids.
+    for (uint32_t& id : piece.to_global) {
+      if (!gids.empty()) id = gids[id];
+      shard_of[id] = static_cast<uint32_t>(k);
+    }
     // Per-shard stats are computed once and serialized — the bytes are what
     // central planning consumes, and what a remote shard would ship.
     DatasetStats stats = ComputeDatasetStats(piece.boxes);
@@ -275,12 +283,24 @@ DatasetHandle ShardedQueryEngine::RegisterDataset(std::string name,
       shard.cell_hi[axis] = piece.cell_hi[axis];
     }
     shard.base_mbr = piece.mbr;
-    shard.engine_handle =
-        inner_.RegisterDataset(name + "#" + std::to_string(k),
-                               std::move(piece.boxes), std::move(stats));
-    entry.shards.push_back(std::move(shard));
+    // Inner shard datasets of a replaced partition stay registered (the
+    // inner catalog has no unregister); the epoch suffix keeps names unique.
+    shard.engine_handle = inner_.RegisterDataset(
+        entry.name + "#" + std::to_string(k) + epoch, std::move(piece.boxes),
+        std::move(stats));
+    shards.push_back(std::move(shard));
   }
-  return catalog_.Add(std::move(entry));
+  // The routing grid is frozen per partition epoch: mutations must route
+  // with the exact (domain, resolution) the assignment pass mapped centers
+  // with, not whatever the stats drift to later.
+  entry.route_domain = global_stats.extent;
+  entry.route_resolution = std::max(1, global_stats.histogram_resolution);
+  entry.global_stats = std::move(global_stats);
+  entry.shards = std::move(shards);
+  entry.shard_of =
+      std::make_shared<const std::vector<uint32_t>>(std::move(shard_of));
+  // The inverse id maps are built by the next mutation batch.
+  entry.mutable_ready = false;
 }
 
 ShardedRequestHandle ShardedQueryEngine::Submit(
@@ -298,6 +318,12 @@ ShardedRequestHandle ShardedQueryEngine::Submit(
   state->metrics->counter("touch_sharded_requests_total").Increment();
   ShardedRequestHandle handle;
   handle.state_ = state;
+  if (request.continuous) {
+    // Shard pairs would each need their own subscription and a delta remap
+    // to global ids; until that exists, refuse rather than run one-shot.
+    state->error = "continuous joins are not supported by the sharded engine";
+    return handle;
+  }
   if (!catalog_.Contains(request.a) || !catalog_.Contains(request.b)) {
     state->error =
         Format("invalid dataset handle (sharded catalog has %zu datasets)",
@@ -582,50 +608,8 @@ void ShardedQueryEngine::RepartitionLocked(ShardedCatalog::Entry& entry) {
       all_gids.push_back(map[snap->id_of(static_cast<uint32_t>(slot))]);
     }
   }
-  DatasetStats global_stats = ComputeDatasetStats(all_boxes);
-  ShardPartition partition =
-      PartitionIntoShards(all_boxes, global_stats, shards_);
-
-  std::vector<uint32_t> shard_of(entry.next_global, kNoShard);
-  std::vector<ShardedCatalog::Shard> shards;
-  shards.reserve(partition.shards.size());
-  for (size_t k = 0; k < partition.shards.size(); ++k) {
-    DatasetShard& piece = partition.shards[k];
-    ShardedCatalog::Shard shard;
-    // piece.to_global indexes into all_boxes; translate to preserved gids.
-    std::vector<uint32_t> to_global(piece.to_global.size());
-    for (size_t i = 0; i < piece.to_global.size(); ++i) {
-      const uint32_t gid = all_gids[piece.to_global[i]];
-      to_global[i] = gid;
-      shard.local_of.emplace(gid, static_cast<uint32_t>(i));
-      shard_of[gid] = static_cast<uint32_t>(k);
-    }
-    DatasetStats stats = ComputeDatasetStats(piece.boxes);
-    shard.count = piece.boxes.size();
-    shard.stats_bytes = SerializeDatasetStats(stats);
-    shard.next_local = static_cast<uint32_t>(piece.boxes.size());
-    shard.to_global =
-        std::make_shared<const std::vector<uint32_t>>(std::move(to_global));
-    for (int axis = 0; axis < 3; ++axis) {
-      shard.cell_lo[axis] = piece.cell_lo[axis];
-      shard.cell_hi[axis] = piece.cell_hi[axis];
-    }
-    shard.base_mbr = piece.mbr;
-    // The old inner shard datasets stay registered (the inner catalog has
-    // no unregister); versioned epochs in the name keep handles unique.
-    shard.engine_handle = inner_.RegisterDataset(
-        entry.name + "#" + std::to_string(k) + "@v" +
-            std::to_string(entry.version),
-        std::move(piece.boxes), std::move(stats));
-    shards.push_back(std::move(shard));
-  }
-  entry.route_domain = global_stats.extent;
-  entry.route_resolution = std::max(1, global_stats.histogram_resolution);
-  entry.global_stats = std::move(global_stats);
-  entry.shards = std::move(shards);
-  entry.shard_of =
-      std::make_shared<const std::vector<uint32_t>>(std::move(shard_of));
-  entry.mutable_ready = true;
+  InstallPartition(entry, all_boxes, all_gids,
+                   "@v" + std::to_string(entry.version));
 }
 
 ShardedJoinResult ShardedQueryEngine::Execute(const JoinRequest& request,

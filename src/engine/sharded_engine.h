@@ -149,7 +149,8 @@ class ShardedQueryEngine {
   /// Scatters the request across shard pairs (see class comment). `sink`
   /// (optional) receives merged, deduplicated (a, b) pairs in *global* id
   /// space; Emit calls are serialized across pairs. Its OnComplete runs
-  /// inside the handle's Get().
+  /// inside the handle's Get(). A `continuous` request scatters nothing and
+  /// gathers as kError: sharded standing joins are not supported.
   ShardedRequestHandle Submit(const JoinRequest& request,
                               std::unique_ptr<ResultSink> sink = nullptr);
 
@@ -172,6 +173,15 @@ class ShardedQueryEngine {
   /// so their cache artifacts age out through normal eviction.
   void RepartitionLocked(ShardedCatalog::Entry& entry)
       REQUIRES(catalog_mutex_);
+  /// Partitions `boxes` into shards_ pieces and installs them as `entry`'s
+  /// partition: per-shard stats, inner datasets named `<name>#<k><epoch>`,
+  /// id maps, owner map and routing grid. `gids[i]` is the global id of
+  /// boxes[i] (empty: i itself). Shared by registration and
+  /// re-partitioning; `entry` is either not yet published or guarded by
+  /// catalog_mutex_.
+  void InstallPartition(ShardedCatalog::Entry& entry, const Dataset& boxes,
+                        std::span<const uint32_t> gids,
+                        const std::string& epoch);
 
   int shards_;
   Planner planner_;

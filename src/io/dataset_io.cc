@@ -29,12 +29,14 @@ IoStatus OpenError(const std::string& path, const char* action) {
                          action);
 }
 
+// Zero-byte transfers skip the call: an empty vector's data() may be null,
+// which fwrite/fread must not receive.
 bool WriteRaw(std::FILE* f, const void* data, size_t bytes) {
-  return std::fwrite(data, 1, bytes, f) == bytes;
+  return bytes == 0 || std::fwrite(data, 1, bytes, f) == bytes;
 }
 
 bool ReadRaw(std::FILE* f, void* data, size_t bytes) {
-  return std::fread(data, 1, bytes, f) == bytes;
+  return bytes == 0 || std::fread(data, 1, bytes, f) == bytes;
 }
 
 IoStatus WriteHeader(std::FILE* f, const char magic[4],
@@ -64,6 +66,27 @@ IoStatus CheckHeader(std::FILE* f, const char magic[4],
   return IoStatus::Ok();
 }
 
+/// Whether `count` records of `record_bytes` each fit in the bytes left
+/// between the read position and the end of `f`; on success those bytes are
+/// charged against `*left`. A header count is untrusted input: checking it
+/// here — without ever forming count * record_bytes, which can overflow —
+/// keeps a corrupt file from demanding an unbounded allocation.
+bool FitsInRest(uint64_t count, size_t record_bytes, uint64_t* left) {
+  if (count > *left / record_bytes) return false;
+  *left -= count * record_bytes;
+  return true;
+}
+
+/// Bytes between the read position and the end of `f`, or -1 when the
+/// stream cannot seek.
+int64_t BytesLeft(std::FILE* f) {
+  const long pos = std::ftell(f);
+  if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) return -1;
+  const long end = std::ftell(f);
+  if (end < pos || std::fseek(f, pos, SEEK_SET) != 0) return -1;
+  return static_cast<int64_t>(end - pos);
+}
+
 }  // namespace
 
 IoStatus WriteBoxesBinary(const std::string& path,
@@ -87,14 +110,19 @@ IoStatus ReadBoxesBinary(const std::string& path, std::vector<Box>* boxes) {
   if (!ReadRaw(f.get(), &count, sizeof(count))) {
     return IoStatus::Error("'" + path + "' is truncated (no count)");
   }
-  boxes->assign(count, Box());
-  if (!ReadRaw(f.get(), boxes->data(), count * sizeof(Box))) {
-    boxes->clear();
-    return IoStatus::Error("'" + path + "' is truncated (payload shorter " +
-                           "than its declared " + std::to_string(count) +
-                           " boxes)");
+  const int64_t left = BytesLeft(f.get());
+  if (left < 0) return IoStatus::Error("cannot size '" + path + "'");
+  uint64_t unread = static_cast<uint64_t>(left);
+  if (FitsInRest(count, sizeof(Box), &unread)) {
+    boxes->assign(count, Box());
+    if (ReadRaw(f.get(), boxes->data(), count * sizeof(Box))) {
+      return IoStatus::Ok();
+    }
   }
-  return IoStatus::Ok();
+  boxes->clear();
+  return IoStatus::Error("'" + path + "' is truncated (payload shorter " +
+                         "than its declared " + std::to_string(count) +
+                         " boxes)");
 }
 
 IoStatus WriteBoxesCsv(const std::string& path,
@@ -166,16 +194,22 @@ IoStatus ReadNeuroModelBinary(const std::string& path, NeuroModel* model) {
       !ReadRaw(f.get(), &dendrites, sizeof(dendrites))) {
     return IoStatus::Error("'" + path + "' is truncated (no counts)");
   }
-  model->axons.assign(axons, Cylinder());
-  model->dendrites.assign(dendrites, Cylinder());
-  if (!ReadRaw(f.get(), model->axons.data(), axons * sizeof(Cylinder)) ||
-      !ReadRaw(f.get(), model->dendrites.data(),
-               dendrites * sizeof(Cylinder))) {
-    model->axons.clear();
-    model->dendrites.clear();
-    return IoStatus::Error("'" + path + "' is truncated (payload)");
+  const int64_t left = BytesLeft(f.get());
+  if (left < 0) return IoStatus::Error("cannot size '" + path + "'");
+  uint64_t unread = static_cast<uint64_t>(left);
+  if (FitsInRest(axons, sizeof(Cylinder), &unread) &&
+      FitsInRest(dendrites, sizeof(Cylinder), &unread)) {
+    model->axons.assign(axons, Cylinder());
+    model->dendrites.assign(dendrites, Cylinder());
+    if (ReadRaw(f.get(), model->axons.data(), axons * sizeof(Cylinder)) &&
+        ReadRaw(f.get(), model->dendrites.data(),
+                dendrites * sizeof(Cylinder))) {
+      return IoStatus::Ok();
+    }
   }
-  return IoStatus::Ok();
+  model->axons.clear();
+  model->dendrites.clear();
+  return IoStatus::Error("'" + path + "' is truncated (payload)");
 }
 
 }  // namespace touch

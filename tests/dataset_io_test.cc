@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "datagen/distributions.h"
 #include "test_util.h"
@@ -78,6 +81,45 @@ TEST(BoxBinaryIoTest, TruncatedPayloadFails) {
   EXPECT_TRUE(loaded.empty());  // no partial results
 }
 
+/// Writes a binary header (magic, format version 1) followed by the given
+/// 64-bit counts and `payload_bytes` zero bytes: the shape of a corrupt
+/// file whose counts promise far more than it holds.
+void WriteCountsOnly(const std::string& path, const char magic[4],
+                     std::initializer_list<uint64_t> counts,
+                     size_t payload_bytes = 0) {
+  std::ofstream out(path, std::ios::binary);
+  const uint32_t version = 1;
+  out.write(magic, 4);
+  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  for (const uint64_t count : counts) {
+    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  }
+  out << std::string(payload_bytes, '\0');
+}
+
+TEST(BoxBinaryIoTest, HugeDeclaredCountFailsWithoutAllocating) {
+  TempFile file("huge.bin");
+  WriteCountsOnly(file.path(), "TSJB", {uint64_t{1} << 40});
+  Dataset loaded;
+  const IoStatus status = ReadBoxesBinary(file.path(), &loaded);
+  EXPECT_FALSE(status.ok);
+  EXPECT_NE(status.message.find("truncated"), std::string::npos);
+  EXPECT_TRUE(loaded.empty());
+}
+
+TEST(BoxBinaryIoTest, CountWhoseByteSizeOverflowsFails) {
+  // count * sizeof(Box) wraps around 2^64 to a handful of bytes, which the
+  // payload does hold: only a division-based bound rejects it.
+  const uint64_t count = UINT64_MAX / sizeof(Box) + 1;
+  TempFile file("wrap.bin");
+  WriteCountsOnly(file.path(), "TSJB", {count},
+                  static_cast<size_t>(count * sizeof(Box)));
+  Dataset loaded;
+  const IoStatus status = ReadBoxesBinary(file.path(), &loaded);
+  EXPECT_FALSE(status.ok);
+  EXPECT_TRUE(loaded.empty());
+}
+
 TEST(BoxCsvIoTest, RoundTripsWithFloatFidelity) {
   const Dataset boxes = GenerateSynthetic(Distribution::kGaussian, 500, 9);
   TempFile file("boxes.csv");
@@ -128,6 +170,26 @@ TEST(NeuroIoTest, RoundTripsModel) {
   for (size_t i = 0; i < model.axons.size(); ++i) {
     EXPECT_EQ(loaded.axons[i].Mbr(), model.axons[i].Mbr());
     EXPECT_EQ(loaded.axons[i].radius, model.axons[i].radius);
+  }
+}
+
+TEST(NeuroIoTest, HugeDeclaredCountsFailWithoutAllocating) {
+  // Each count alone, and two counts that fit one at a time but not
+  // together.
+  const uint64_t huge = uint64_t{1} << 40;
+  const uint64_t wraps = UINT64_MAX / sizeof(Cylinder) + 1;
+  const std::vector<std::vector<uint64_t>> cases = {
+      {huge, 0}, {0, huge}, {wraps, 0}, {1, 1}};
+  for (const std::vector<uint64_t>& counts : cases) {
+    TempFile file("huge_model.bin");
+    WriteCountsOnly(file.path(), "TSJC", {counts[0], counts[1]},
+                    sizeof(Cylinder));
+    NeuroModel loaded;
+    const IoStatus status = ReadNeuroModelBinary(file.path(), &loaded);
+    EXPECT_FALSE(status.ok) << counts[0] << " x " << counts[1];
+    EXPECT_NE(status.message.find("truncated"), std::string::npos);
+    EXPECT_TRUE(loaded.axons.empty());
+    EXPECT_TRUE(loaded.dendrites.empty());
   }
 }
 

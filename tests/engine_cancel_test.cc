@@ -5,10 +5,12 @@
 // is exact, not a sleep-based race; the stress test at the bottom is the
 // TSan/ASan target racing cancel against completion.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -155,7 +157,13 @@ TEST_F(EngineCancelTest, CancelWhileQueuedCompletesPromptlyWithoutExecuting) {
   EXPECT_EQ(cache.hits + cache.misses, 1u);
 }
 
-TEST_F(EngineCancelTest, CancelDuringIndexBuildKeepsArtifactForOthers) {
+/// One case per cacheable artifact family: the build→execute cancel
+/// boundary is the generic cached-execute path's, whatever the plan.
+class EngineCancelFamilyTest
+    : public EngineCancelTest,
+      public ::testing::WithParamInterface<std::string> {};
+
+TEST_P(EngineCancelFamilyTest, CancelDuringIndexBuildKeepsArtifactForOthers) {
   PhaseGate gate(RequestPhase::kBuildingIndex);
   EngineOptions options;
   options.threads = 1;
@@ -164,8 +172,10 @@ TEST_F(EngineCancelTest, CancelDuringIndexBuildKeepsArtifactForOthers) {
   const DatasetHandle a = engine.RegisterDataset("small", small_);
   const DatasetHandle b = engine.RegisterDataset("large", large_);
   const JoinRequest request{a, b, 2.0f};
+  JoinPlan plan = engine.Plan(request);
+  plan.algorithm = GetParam();
 
-  RequestHandle handle = engine.Submit(request);
+  RequestHandle handle = engine.SubmitPlanned(plan, request);
   gate.WaitReached();
   EXPECT_EQ(handle.phase(), RequestPhase::kBuildingIndex);
   EXPECT_TRUE(handle.Cancel());
@@ -178,12 +188,20 @@ TEST_F(EngineCancelTest, CancelDuringIndexBuildKeepsArtifactForOthers) {
   EXPECT_EQ(cancelled.stats.results, 0u);
 
   // ...and the artifact it paid for serves the next request for free.
-  CountingCollector out;
-  const JoinResult warm = engine.Execute(request, out);
+  const JoinResult warm = engine.SubmitPlanned(plan, request).Get();
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm.index_cache_hit);
   EXPECT_GE(engine.cache_stats().hits, 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, EngineCancelFamilyTest,
+    ::testing::Values("touch", "inl", "pbsm-100"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 TEST_F(EngineCancelTest, CancelMidExecuteCompletesWithinPromptBudget) {
   // A workload whose execute phase takes much longer than the promptness

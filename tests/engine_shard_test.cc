@@ -360,6 +360,24 @@ TEST(ShardedEngineTest, InvalidHandleReportsError) {
             std::string::npos);
 }
 
+TEST(ShardedEngineTest, ContinuousRequestIsRejectedNotRunOneShot) {
+  EngineOptions options;
+  options.shards = 2;
+  ShardedQueryEngine engine(options);
+  const DatasetHandle ha = engine.RegisterDataset(
+      "A", GenerateSynthetic(Distribution::kUniform, 500, 45));
+  const DatasetHandle hb = engine.RegisterDataset(
+      "B", GenerateSynthetic(Distribution::kUniform, 500, 46));
+  JoinRequest request{ha, hb, 5.0f};
+  request.continuous = true;
+  CountingCollector out;
+  const ShardedJoinResult result = engine.Execute(request, out);
+  EXPECT_EQ(result.merged.status, RequestStatus::kError);
+  EXPECT_NE(result.merged.error.find("continuous"), std::string::npos);
+  EXPECT_TRUE(result.pairs.empty());
+  EXPECT_EQ(out.count(), 0u);
+}
+
 TEST(ShardedEngineTest, SecondGatherReportsError) {
   ShardedQueryEngine engine;
   const DatasetHandle ha = engine.RegisterDataset(

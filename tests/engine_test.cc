@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
 #include "datagen/distributions.h"
 #include "join/nested_loop.h"
 #include "test_util.h"
@@ -138,21 +141,6 @@ TEST_F(QueryEngineTest, BuildOnACacheDistinguishesEpsilon) {
   EXPECT_EQ(engine.cache_stats().entries, 2u);
 }
 
-TEST_F(QueryEngineTest, DisabledCacheStillProducesIdenticalResults) {
-  EngineOptions options;
-  options.cache_indexes = false;
-  QueryEngine engine(options);
-  const DatasetHandle a = engine.RegisterDataset("small", small_);
-  const DatasetHandle b = engine.RegisterDataset("large", large_);
-
-  VectorCollector out;
-  const JoinResult result = engine.Execute({a, b, 2.0f}, out);
-  ASSERT_TRUE(result.error.empty());
-  EXPECT_FALSE(result.index_cache_hit);
-  EXPECT_EQ(engine.cache_stats().misses, 0u);
-  EXPECT_EQ(SortedPairs(out), DistanceOracle(small_, large_, 2.0f));
-}
-
 TEST_F(QueryEngineTest, BatchMatchesIndividualExecution) {
   QueryEngine engine;
   const DatasetHandle a = engine.RegisterDataset("small", small_);
@@ -199,6 +187,31 @@ TEST_F(QueryEngineTest, ExecuteFixedReportsUnknownNames) {
   const JoinResult result = engine.ExecuteFixed("bogus", {a, b, 1.0f}, out);
   EXPECT_NE(result.error.find("unknown algorithm 'bogus'"), std::string::npos);
   EXPECT_NE(result.error.find("accepted:"), std::string::npos);
+  EXPECT_TRUE(out.pairs().empty());
+}
+
+// Fixed runs go through the submit path, so they honour the request's
+// deadline and, like every synchronous wrapper, refuse standing joins
+// (which never produce a final result to wait for).
+TEST_F(QueryEngineTest, ExecuteFixedFollowsSubmitRequestRules) {
+  QueryEngine engine;
+  const DatasetHandle a = engine.RegisterDataset("small", small_);
+  const DatasetHandle b = engine.RegisterDataset("large", large_);
+
+  JoinRequest expired{a, b, 2.0f};
+  expired.deadline = std::chrono::steady_clock::now();
+  VectorCollector out;
+  const JoinResult late = engine.ExecuteFixed("touch", expired, out);
+  EXPECT_EQ(late.status, RequestStatus::kCancelled);
+  EXPECT_TRUE(out.pairs().empty());
+
+  JoinRequest standing{a, b, 2.0f};
+  standing.continuous = true;
+  for (const std::string name : {"touch", "ps", "auto"}) {
+    const JoinResult result = engine.ExecuteFixed(name, standing, out);
+    EXPECT_EQ(result.status, RequestStatus::kError) << name;
+    EXPECT_NE(result.error.find("continuous"), std::string::npos) << name;
+  }
   EXPECT_TRUE(out.pairs().empty());
 }
 
