@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 #include <cmath>
+#include <optional>
+#include <string>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 
 #include "core/overlap_kernel.h"
 #include "geom/grid.h"
 #include "obs/trace.h"
 #include "util/memory.h"
-#include "util/thread_annotations.h"
 #include "util/timer.h"
+#include "util/worker_pool.h"
 
 namespace touch {
 namespace {
@@ -88,15 +89,70 @@ class ReusableGrid {
     return cells_[index];
   }
 
-  size_t MemoryUsageBytes() const {
-    return NestedVectorBytes(cells_) + VectorBytes(epoch_mark_);
-  }
+  // Cells sized so far, and one cell's list capacity.
+  size_t size() const { return cells_.size(); }
+  size_t CellCapacity(size_t index) const { return cells_[index].capacity(); }
 
  private:
   std::vector<std::vector<uint32_t>> cells_;
   std::vector<uint32_t> epoch_mark_;
   uint32_t epoch_ = 0;
 };
+
+// One thread's local-join scratch, reused across the units it runs. Each
+// starts on its own cache line: the hot counters and hit lists of threads
+// working side by side must not share one.
+struct alignas(64) WorkerContext {
+  JoinStats stats;
+  ReusableGrid cells;
+  std::vector<uint32_t> descent_stack;
+  std::vector<uint32_t> hits;
+};
+
+// A local-join unit's pairs, buffered until every earlier unit has emitted
+// (on its own cache line, like WorkerContext).
+struct alignas(64) PendingUnit {
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  std::atomic<bool> done{false};
+};
+
+// Local-join units: a grid node with at least kSplitItems descendant items
+// is probed in chunks of kChunkItems, and units fork in windows of
+// kWindowUnits, which also bounds the pairs buffered at once.
+constexpr size_t kChunkItems = 2048;
+constexpr size_t kSplitItems = 4 * kChunkItems;
+constexpr size_t kWindowUnits = 64;
+
+// The bytes the sequential run's one reused grid ends at, reconstructed
+// from every slot's grid so memory_bytes does not depend on how the nodes
+// were spread over threads. The outer arrays replay ReusableGrid::Reset's
+// resizes over `grid_cells` (each grid node's size, in node order); each
+// cell keeps the largest list capacity any slot reached, because a list
+// that only grows by push_back has a capacity fixed by the largest size it
+// ever held.
+size_t SequentialGridBytes(std::span<const uint64_t> grid_cells,
+                           std::span<const WorkerContext> contexts) {
+  std::vector<uint8_t> outer;
+  std::vector<uint8_t> marks;
+  for (const uint64_t total : grid_cells) {
+    if (outer.size() < total) {
+      outer.resize(total);
+      marks.resize(total, 0);
+    }
+  }
+  size_t bytes = outer.capacity() * sizeof(std::vector<uint32_t>) +
+                 marks.capacity() * sizeof(uint32_t);
+  for (size_t i = 0; i < outer.size(); ++i) {
+    size_t capacity = 0;
+    for (const WorkerContext& ctx : contexts) {
+      if (i < ctx.cells.size()) {
+        capacity = std::max(capacity, ctx.cells.CellCapacity(i));
+      }
+    }
+    bytes += capacity * sizeof(uint32_t);
+  }
+  return bytes;
+}
 
 }  // namespace
 
@@ -125,9 +181,10 @@ JoinStats TouchJoin::JoinWithPrebuiltTree(const TouchTree& tree,
                                           std::span<const Box> b,
                                           ResultCollector& out,
                                           float probe_epsilon,
-                                          CancellationToken cancel) {
+                                          CancellationToken cancel,
+                                          WorkerPool* pool) {
   return JoinOriented(a, b, /*swapped=*/false, out, &tree, probe_epsilon,
-                      std::move(cancel));
+                      std::move(cancel), pool);
 }
 
 JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
@@ -135,13 +192,25 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
                                   ResultCollector& out,
                                   const TouchTree* prebuilt,
                                   float probe_epsilon,
-                                  CancellationToken cancel) {
+                                  CancellationToken cancel,
+                                  WorkerPool* pool) {
   JoinStats stats;
   Timer total;
   if (build.empty() || probe.empty()) {
     stats.filtered = probe.size();
     stats.total_seconds = total.Seconds();
     return stats;
+  }
+
+  // A library caller asking for several threads gets a pool for this call;
+  // the engine passes its own. Either way, phases 1 and 3 borrow only the
+  // workers that are idle (WorkerPool::ForkJoin).
+  std::optional<WorkerPool> transient_pool;
+  if (pool == nullptr) {
+    const int hardware =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    const int threads = std::clamp(options_.threads, 1, hardware);
+    if (threads > 1) pool = &transient_pool.emplace(threads - 1);
   }
 
   // The grid local join reads probe boxes through ProbeBox and needs no
@@ -173,7 +242,7 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
       const size_t partitions = std::max<size_t>(1, options_.partitions);
       leaf_capacity = (build.size() + partitions - 1) / partitions;
     }
-    owned_tree.emplace(build, leaf_capacity, options_.fanout);
+    owned_tree.emplace(build, leaf_capacity, options_.fanout, pool);
   }
   const TouchTree& tree = prebuilt != nullptr ? *prebuilt : *owned_tree;
   stats.build_seconds = prebuilt != nullptr ? 0.0 : phase.Seconds();
@@ -240,8 +309,9 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
 
   // ---- Phase 3: per-node local join (Algorithm 4). ----
   phase.Reset();
-  // Calling-thread span; the parallel path's spawned workers carry no
-  // ambient context, so the one span covers the phase's wall clock.
+  // Opened on this (the owning) thread. Pool helpers run chunks of the
+  // phase without an ambient context, so the one span covers the phase's
+  // wall clock and its `helpers` attr counts the workers that joined in.
   SpanScope local_join_span("touch-local-join");
   const std::span<const uint32_t> item_ids = tree.item_ids();
 
@@ -255,17 +325,11 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
       options_.cell_size_multiplier * std::min(avg_build.y, avg_probe.y),
       options_.cell_size_multiplier * std::min(avg_build.z, avg_probe.z));
 
-  // Per-worker scratch state; a single instance serves the sequential path.
-  struct WorkerContext {
-    JoinStats stats;
-    ReusableGrid cells;
-    std::vector<uint32_t> descent_stack;
-    std::vector<uint32_t> hits;
-    size_t max_grid_bytes = 0;
-  };
+  // Per-slot scratch: slot 0 is this thread, the others are pool helpers.
+  std::vector<WorkerContext> contexts(ForkJoinSlots(pool));
 
   // Slabs for the grid local join, built once per join and shared
-  // read-only across workers: the build items in item_ids order (so every
+  // read-only across threads: the build items in item_ids order (so every
   // leaf's items are one contiguous range) and the probe boxes by probe id
   // with the remaining enlargement folded in (BoxAt round-trips the exact
   // ProbeBox floats, so reference-point dedup is unchanged). Like the
@@ -278,198 +342,259 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
     probe_slab.Assign(probe, probe_epsilon);
   }
 
-  // Joins one inner node's assigned probe entities against the build items
-  // of its descendant leaves. `emit(build_id, probe_id)` must already handle
-  // the swap back to (a, b) order.
-  const auto join_node = [&](uint32_t node_id, WorkerContext& ctx,
-                             auto&& emit) {
-    const std::vector<uint32_t>& node_entities = entities[node_id];
-    const TouchTree::Node& node = nodes[node_id];
-    const auto items = item_ids.subspan(node.item_begin, node.ItemCount());
-
-    // Subtree descent for entity-poor nodes: the probe object walks this
-    // node's own hierarchy, pruning children by MBR, and is compared only
-    // against the items of the leaves it reaches.
-    const auto subtree_join = [&](uint32_t start_node, uint32_t probe_id) {
-      const Box probe_box = probe_slab.BoxAt(probe_id);
-      ctx.descent_stack.clear();
-      ctx.descent_stack.push_back(start_node);
-      while (!ctx.descent_stack.empty()) {
-        const TouchTree::Node& current = nodes[ctx.descent_stack.back()];
-        ctx.descent_stack.pop_back();
-        ctx.hits.clear();
-        if (current.IsLeaf()) {
-          ctx.stats.comparisons +=
-              CollectOverlaps(item_slab, current.item_begin,
-                              current.item_end, probe_box, ctx.hits);
-          for (const uint32_t pos : ctx.hits) emit(item_ids[pos], probe_id);
-          continue;
-        }
-        // Matching children push in ascending order, as the scalar loop
-        // did — this stack visits them last-pushed-first either way.
-        ctx.stats.node_comparisons += CollectOverlaps(
-            child_mbr_slab, current.children_begin,
-            current.children_begin + current.children_count, probe_box,
-            ctx.hits);
-        for (const uint32_t pos : ctx.hits) {
-          ctx.descent_stack.push_back(child_ids[pos]);
-        }
-      }
-    };
-
-    // Grid only where it pays: enough entities to amortize building it, and
-    // not vastly fewer entities than descendant items (a handful of objects
-    // descending a big subtree prunes most of it; a grid would make every
-    // item probe cells for nothing).
-    const bool grid_pays =
-        node_entities.size() >= options_.grid_min_entities &&
-        node_entities.size() * 16 >= items.size();
-    if (options_.local_join == LocalJoinStrategy::kGrid && !grid_pays) {
-      for (size_t i = 0; i < node_entities.size(); ++i) {
-        if ((i & 1023u) == 0 && cancel.stop_requested()) return;
-        subtree_join(node_id, node_entities[i]);
-      }
-      return;
-    }
+  // How every node with work joins, decided up front in node order. Grid
+  // only where it pays: enough entities to amortize building it, and not
+  // vastly fewer entities than descendant items (a handful of objects
+  // descending a big subtree prunes most of it; a grid would make every
+  // item probe cells for nothing). A grid node with many items is split:
+  // scattered once, then probed in fixed-size item chunks.
+  enum class NodeJoin : uint8_t { kDescent, kGrid, kSplitGrid, kAblation };
+  struct NodeWork {
+    uint32_t node;
+    NodeJoin how;
+    int res[3];  // grid resolution (kGrid, kSplitGrid)
+  };
+  std::vector<NodeWork> work;
+  std::vector<uint64_t> grid_cells;  // per grid node, in node order
+  for (uint32_t node_id = 0; node_id < nodes.size(); ++node_id) {
+    const size_t entity_count = entities[node_id].size();
+    const size_t item_count = nodes[node_id].ItemCount();
+    if (entity_count == 0 || item_count == 0) continue;
+    NodeWork w{node_id, NodeJoin::kAblation, {1, 1, 1}};
     if (options_.local_join == LocalJoinStrategy::kGrid) {
-      // Equi-width grid over this node's region; the node's B entities are
-      // scattered into the cells they overlap, then every descendant A
-      // object probes the cells it overlaps. A pair straddling several
-      // shared cells is reported only by the cell holding its reference
-      // point.
-      int res[3];
-      NodeGridResolution(node.mbr, min_cell_edge, options_.grid_resolution,
-                         /*max_total_cells=*/uint64_t{1} << 18, res);
-      const GridMapper grid(node.mbr, res[0], res[1], res[2]);
-      const uint64_t stride_y = static_cast<uint64_t>(res[2]);
-      const uint64_t stride_x = stride_y * static_cast<uint64_t>(res[1]);
-      ctx.cells.Reset(static_cast<uint64_t>(res[0]) * res[1] * res[2]);
-      for (const uint32_t probe_id : node_entities) {
-        const CellRange range = grid.RangeOf(probe_slab.BoxAt(probe_id));
-        for (int x = range.lo.x; x <= range.hi.x; ++x) {
-          for (int y = range.lo.y; y <= range.hi.y; ++y) {
-            const uint64_t base = static_cast<uint64_t>(x) * stride_x +
-                                  static_cast<uint64_t>(y) * stride_y;
-            for (int z = range.lo.z; z <= range.hi.z; ++z) {
-              ctx.cells.Cell(base + static_cast<uint64_t>(z))
-                  .push_back(probe_id);
-            }
+      const bool grid_pays = entity_count >= options_.grid_min_entities &&
+                             entity_count * 16 >= item_count;
+      if (!grid_pays) {
+        w.how = NodeJoin::kDescent;
+      } else {
+        w.how = item_count >= kSplitItems ? NodeJoin::kSplitGrid
+                                          : NodeJoin::kGrid;
+        NodeGridResolution(nodes[node_id].mbr, min_cell_edge,
+                           options_.grid_resolution,
+                           /*max_total_cells=*/uint64_t{1} << 18, w.res);
+        grid_cells.push_back(static_cast<uint64_t>(w.res[0]) * w.res[1] *
+                             w.res[2]);
+      }
+    }
+    work.push_back(w);
+  }
+
+  // Subtree descent for entity-poor nodes: the probe object walks the
+  // node's own hierarchy, pruning children by MBR, and is compared only
+  // against the items of the leaves it reaches. `emit(build_id, probe_id)`
+  // (here and below) handles the swap back to (a, b) order.
+  const auto subtree_join = [&](uint32_t start_node, uint32_t probe_id,
+                                WorkerContext& ctx, auto&& emit) {
+    const Box probe_box = probe_slab.BoxAt(probe_id);
+    ctx.descent_stack.clear();
+    ctx.descent_stack.push_back(start_node);
+    while (!ctx.descent_stack.empty()) {
+      const TouchTree::Node& current = nodes[ctx.descent_stack.back()];
+      ctx.descent_stack.pop_back();
+      ctx.hits.clear();
+      if (current.IsLeaf()) {
+        ctx.stats.comparisons +=
+            CollectOverlaps(item_slab, current.item_begin, current.item_end,
+                            probe_box, ctx.hits);
+        for (const uint32_t pos : ctx.hits) emit(item_ids[pos], probe_id);
+        continue;
+      }
+      // Matching children push in ascending order, as the scalar loop
+      // did — this stack visits them last-pushed-first either way.
+      ctx.stats.node_comparisons += CollectOverlaps(
+          child_mbr_slab, current.children_begin,
+          current.children_begin + current.children_count, probe_box,
+          ctx.hits);
+      for (const uint32_t pos : ctx.hits) {
+        ctx.descent_stack.push_back(child_ids[pos]);
+      }
+    }
+  };
+
+  // Equi-width grid over a node's region: the node's B entities are
+  // scattered into the cells they overlap ...
+  const auto scatter = [&](const NodeWork& w, ReusableGrid& cells) {
+    const GridMapper grid(nodes[w.node].mbr, w.res[0], w.res[1], w.res[2]);
+    const uint64_t stride_y = static_cast<uint64_t>(w.res[2]);
+    const uint64_t stride_x = stride_y * static_cast<uint64_t>(w.res[1]);
+    cells.Reset(static_cast<uint64_t>(w.res[0]) * w.res[1] * w.res[2]);
+    for (const uint32_t probe_id : entities[w.node]) {
+      const CellRange range = grid.RangeOf(probe_slab.BoxAt(probe_id));
+      for (int x = range.lo.x; x <= range.hi.x; ++x) {
+        for (int y = range.lo.y; y <= range.hi.y; ++y) {
+          const uint64_t base = static_cast<uint64_t>(x) * stride_x +
+                                static_cast<uint64_t>(y) * stride_y;
+          for (int z = range.lo.z; z <= range.hi.z; ++z) {
+            cells.Cell(base + static_cast<uint64_t>(z)).push_back(probe_id);
           }
         }
       }
-      for (size_t item_index = 0; item_index < items.size(); ++item_index) {
-        if ((item_index & 4095u) == 0 && cancel.stop_requested()) return;
-        const uint32_t build_id = items[item_index];
-        const Box& build_box = build[build_id];
-        const CellRange range = grid.RangeOf(build_box);
-        for (int x = range.lo.x; x <= range.hi.x; ++x) {
-          for (int y = range.lo.y; y <= range.hi.y; ++y) {
-            const uint64_t base = static_cast<uint64_t>(x) * stride_x +
-                                  static_cast<uint64_t>(y) * stride_y;
-            for (int z = range.lo.z; z <= range.hi.z; ++z) {
-              // The cell's occupants are probe ids in scatter order; the
-              // gather kernel tests them against this item in that order
-              // and counts one comparison per occupant, like the scalar
-              // loop it replaces.
-              ctx.hits.clear();
-              ctx.stats.comparisons += CollectOverlapsGather(
-                  probe_slab,
-                  ctx.cells.Occupants(base + static_cast<uint64_t>(z)),
-                  build_box, ctx.hits);
-              for (const uint32_t probe_id : ctx.hits) {
-                const Box probe_box = probe_slab.BoxAt(probe_id);
-                const CellCoord home =
-                    grid.CellOf(ReferencePoint(build_box, probe_box));
-                if (home.x == x && home.y == y && home.z == z) {
-                  emit(build_id, probe_id);
-                }
+    }
+  };
+
+  // ... then every descendant A object in [item_lo, item_hi) of the node's
+  // item range probes the cells it overlaps. A pair straddling several
+  // shared cells is reported only by the cell holding its reference point.
+  // Reads `cells` only, so chunks of one node can run on several threads.
+  const auto probe_grid = [&](const NodeWork& w, const ReusableGrid& cells,
+                              size_t item_lo, size_t item_hi,
+                              WorkerContext& ctx, auto&& emit) {
+    const TouchTree::Node& node = nodes[w.node];
+    const auto items = item_ids.subspan(node.item_begin, node.ItemCount());
+    const GridMapper grid(node.mbr, w.res[0], w.res[1], w.res[2]);
+    const uint64_t stride_y = static_cast<uint64_t>(w.res[2]);
+    const uint64_t stride_x = stride_y * static_cast<uint64_t>(w.res[1]);
+    for (size_t item_index = item_lo; item_index < item_hi; ++item_index) {
+      if ((item_index & 4095u) == 0 && cancel.stop_requested()) return;
+      const uint32_t build_id = items[item_index];
+      const Box& build_box = build[build_id];
+      const CellRange range = grid.RangeOf(build_box);
+      for (int x = range.lo.x; x <= range.hi.x; ++x) {
+        for (int y = range.lo.y; y <= range.hi.y; ++y) {
+          const uint64_t base = static_cast<uint64_t>(x) * stride_x +
+                                static_cast<uint64_t>(y) * stride_y;
+          for (int z = range.lo.z; z <= range.hi.z; ++z) {
+            // The cell's occupants are probe ids in scatter order; the
+            // gather kernel tests them against this item in that order
+            // and counts one comparison per occupant, like the scalar
+            // loop it replaces.
+            ctx.hits.clear();
+            ctx.stats.comparisons += CollectOverlapsGather(
+                probe_slab, cells.Occupants(base + static_cast<uint64_t>(z)),
+                build_box, ctx.hits);
+            for (const uint32_t probe_id : ctx.hits) {
+              const Box probe_box = probe_slab.BoxAt(probe_id);
+              const CellCoord home =
+                  grid.CellOf(ReferencePoint(build_box, probe_box));
+              if (home.x == x && home.y == y && home.z == z) {
+                emit(build_id, probe_id);
               }
             }
           }
         }
       }
-      ctx.max_grid_bytes =
-          std::max(ctx.max_grid_bytes, ctx.cells.MemoryUsageBytes());
-    } else if (options_.local_join == LocalJoinStrategy::kNestedLoop) {
+    }
+  };
+
+  // Joins one node's assigned probe entities against the build items of
+  // its descendant leaves, as one unit.
+  const auto join_node = [&](const NodeWork& w, WorkerContext& ctx,
+                             auto&& emit) {
+    const std::vector<uint32_t>& node_entities = entities[w.node];
+    const TouchTree::Node& node = nodes[w.node];
+    switch (w.how) {
+      case NodeJoin::kDescent:
+        for (size_t i = 0; i < node_entities.size(); ++i) {
+          if ((i & 1023u) == 0 && cancel.stop_requested()) return;
+          subtree_join(w.node, node_entities[i], ctx, emit);
+        }
+        return;
+      case NodeJoin::kGrid:
+      case NodeJoin::kSplitGrid:
+        scatter(w, ctx.cells);
+        probe_grid(w, ctx.cells, 0, node.ItemCount(), ctx, emit);
+        return;
+      case NodeJoin::kAblation:
+        break;
+    }
+    const auto items = item_ids.subspan(node.item_begin, node.ItemCount());
+    if (options_.local_join == LocalJoinStrategy::kNestedLoop) {
       LocalNestedLoop(build, items, probe, node_entities, &ctx.stats, emit);
     } else {
       LocalPlaneSweep(build, items, probe, node_entities, &ctx.stats, emit);
     }
   };
 
-  // Inner nodes with work to do.
-  std::vector<uint32_t> active_nodes;
-  for (uint32_t node_id = 0; node_id < nodes.size(); ++node_id) {
-    if (!entities[node_id].empty() && nodes[node_id].ItemCount() > 0) {
-      active_nodes.push_back(node_id);
-    }
-  }
-
-  size_t max_grid_bytes = 0;
-  const int threads =
-      std::clamp(options_.threads, 1,
-                 static_cast<int>(std::thread::hardware_concurrency() > 0
-                                      ? std::thread::hardware_concurrency()
-                                      : 1));
-  if (threads <= 1 || active_nodes.size() < 2) {
-    WorkerContext ctx;
-    const auto emit = [&](uint32_t build_id, uint32_t probe_id) {
-      ++ctx.stats.results;
-      if (swapped) {
-        out.Emit(probe_id, build_id);
-      } else {
-        out.Emit(build_id, probe_id);
-      }
-    };
-    for (const uint32_t node_id : active_nodes) {
-      if (cancel.stop_requested()) break;
-      join_node(node_id, ctx, emit);
-    }
-    stats.MergeCounters(ctx.stats);
-    max_grid_bytes = ctx.max_grid_bytes;
-  } else {
-    // The inner-node joins are independent; workers pull node ids from a
-    // shared counter and buffer their pairs per node, flushing into the
-    // (single-threaded) collector under a mutex.
-    std::vector<WorkerContext> contexts(static_cast<size_t>(threads));
-    std::atomic<size_t> next_node{0};
-    Mutex out_mutex;
-    const auto worker = [&](WorkerContext& ctx) {
-      std::vector<std::pair<uint32_t, uint32_t>> pending;
-      const auto emit = [&](uint32_t build_id, uint32_t probe_id) {
-        ++ctx.stats.results;
-        if (swapped) {
-          pending.emplace_back(probe_id, build_id);
-        } else {
-          pending.emplace_back(build_id, probe_id);
+  // Runs units [0, count) in fork-join windows of kWindowUnits, emitting in
+  // unit order — the order of the sequential run. This thread (slot 0)
+  // alone calls Emit: a unit it claims at the emission frontier emits
+  // straight through; any other unit buffers its pairs in its window
+  // position's reused vector, and each finished prefix is flushed whenever
+  // this thread is between units. With no idle helper this thread claims
+  // every unit at the frontier and buffers nothing; with helpers, at most
+  // one window of units is ever buffered.
+  std::vector<PendingUnit> window(kWindowUnits);
+  HelperSet helpers;
+  const auto oriented = [swapped](uint32_t build_id, uint32_t probe_id) {
+    return swapped ? std::pair(probe_id, build_id)
+                   : std::pair(build_id, probe_id);
+  };
+  const auto run_units = [&](size_t count, auto&& run_unit) {
+    for (size_t base = 0; base < count; base += kWindowUnits) {
+      if (cancel.stop_requested()) return;
+      const size_t n = std::min(kWindowUnits, count - base);
+      size_t frontier = 0;  // next unit of this window to emit (slot 0 only)
+      const auto flush = [&] {
+        while (frontier < n &&
+               window[frontier].done.load(std::memory_order_acquire)) {
+          PendingUnit& pending = window[frontier];
+          for (const auto& [a_id, b_id] : pending.pairs) out.Emit(a_id, b_id);
+          pending.pairs.clear();
+          pending.done.store(false, std::memory_order_relaxed);
+          ++frontier;
         }
       };
-      while (true) {
-        if (cancel.stop_requested()) break;
-        const size_t index = next_node.fetch_add(1);
-        if (index >= active_nodes.size()) break;
-        join_node(active_nodes[index], ctx, emit);
-        if (!pending.empty()) {
-          const MutexLock lock(out_mutex);
-          for (const auto& [a_id, b_id] : pending) out.Emit(a_id, b_id);
-          pending.clear();
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(contexts.size());
-    for (WorkerContext& ctx : contexts) pool.emplace_back(worker, std::ref(ctx));
-    for (std::thread& t : pool) t.join();
-    for (const WorkerContext& ctx : contexts) {
-      stats.MergeCounters(ctx.stats);
-      max_grid_bytes = std::max(max_grid_bytes, ctx.max_grid_bytes);
+      ForkJoin(
+          pool, n,
+          [&](size_t k, size_t slot) {
+            WorkerContext& ctx = contexts[slot];
+            if (slot == 0 && k == frontier) {
+              run_unit(base + k, ctx, [&](uint32_t build_id, uint32_t id) {
+                ++ctx.stats.results;
+                const auto [a_id, b_id] = oriented(build_id, id);
+                out.Emit(a_id, b_id);
+              });
+              ++frontier;
+            } else {
+              PendingUnit& pending = window[k];
+              run_unit(base + k, ctx, [&](uint32_t build_id, uint32_t id) {
+                ++ctx.stats.results;
+                pending.pairs.push_back(oriented(build_id, id));
+              });
+              pending.done.store(true, std::memory_order_release);
+            }
+            if (slot == 0) flush();
+          },
+          &helpers);
+      flush();
     }
+  };
+
+  for (size_t i = 0; i < work.size();) {
+    if (cancel.stop_requested()) break;
+    if (work[i].how == NodeJoin::kSplitGrid) {
+      // One large grid node: scatter it here, then fork its read-only item
+      // probes as chunks over this thread's grid.
+      const NodeWork& w = work[i];
+      ReusableGrid& cells = contexts[0].cells;
+      scatter(w, cells);
+      const size_t item_count = nodes[w.node].ItemCount();
+      run_units((item_count + kChunkItems - 1) / kChunkItems,
+                [&](size_t chunk, WorkerContext& ctx, auto&& emit) {
+                  probe_grid(w, cells, chunk * kChunkItems,
+                             std::min(item_count, (chunk + 1) * kChunkItems),
+                             ctx, emit);
+                });
+      ++i;
+      continue;
+    }
+    // A run of whole-node units up to the next split node.
+    size_t end = i + 1;
+    while (end < work.size() && work[end].how != NodeJoin::kSplitGrid) ++end;
+    run_units(end - i, [&, i](size_t k, WorkerContext& ctx, auto&& emit) {
+      join_node(work[i + k], ctx, emit);
+    });
+    i = end;
   }
+  for (const WorkerContext& ctx : contexts) stats.MergeCounters(ctx.stats);
+  const size_t grid_bytes = SequentialGridBytes(grid_cells, contexts);
+  contexts.clear();  // freeing the grids is part of the phase
   stats.join_seconds = phase.Seconds();
+  local_join_span.AddAttr("helpers", std::to_string(helpers.count()));
   local_join_span.End();
 
   stats.memory_bytes = tree.MemoryUsageBytes() + NestedVectorBytes(entities) +
-                       max_grid_bytes + VectorBytes(enlarged_probe);
+                       grid_bytes + VectorBytes(enlarged_probe);
   stats.total_seconds = total.Seconds();
   return stats;
 }

@@ -8,6 +8,8 @@
 
 namespace touch {
 
+class WorkerPool;
+
 /// Tunable parameters of TOUCH (paper section 5.2). The defaults are the
 /// paper's evaluated configuration: fanout 2, 1024 partitions, local-join
 /// grid resolution 500.
@@ -45,13 +47,16 @@ struct TouchOptions {
   enum class JoinOrder { kAuto, kBuildOnA, kBuildOnB };
   JoinOrder join_order = JoinOrder::kAuto;
 
-  /// Worker threads for the join phase (phase 3). The per-inner-node local
-  /// joins are independent, so they parallelize the same way the paper's
-  /// BlueGene deployment parallelizes whole subsets across cores. 0 or 1
-  /// keeps the paper's single-threaded execution; results are identical
-  /// either way (only the result *order* may differ). Phases 1 and 2 stay
-  /// single-threaded: they are a small fraction of the join on selective
-  /// workloads.
+  /// Threads for a library join (capped at the hardware concurrency). Above
+  /// 1, the call makes a transient pool of `threads - 1` workers and runs
+  /// the same fork-join path the engine runs on its own pool: the STR slab
+  /// sorts of phase 1 and the local joins of phase 3 are split into units
+  /// (whole small nodes, fixed-size item chunks of large grid nodes) shared
+  /// with the helpers. Emission stays on the calling thread and in the
+  /// sequential order, so pairs, their order, and every JoinStats counter
+  /// are identical to the single-threaded run. Phase 2 (assignment) stays
+  /// on the caller. 0 or 1 keeps the paper's single-threaded execution. The
+  /// engine ignores this field: it lends its own pool's idle workers.
   int threads = 1;
 };
 
@@ -93,11 +98,15 @@ class TouchJoin : public SpatialJoinAlgorithm {
   /// fires, the join stops emitting and returns early with partial stats.
   /// The caller decides what a partial run means (the engine flags the
   /// request Cancelled); a default token makes every check free.
+  ///
+  /// `pool` lends its idle workers to the local join (see
+  /// TouchOptions::threads); null falls back to `threads`.
   JoinStats JoinWithPrebuiltTree(const TouchTree& tree,
                                  std::span<const Box> a,
                                  std::span<const Box> b, ResultCollector& out,
                                  float probe_epsilon = 0.0f,
-                                 CancellationToken cancel = {});
+                                 CancellationToken cancel = {},
+                                 WorkerPool* pool = nullptr);
 
   const TouchOptions& options() const { return options_; }
 
@@ -105,14 +114,15 @@ class TouchJoin : public SpatialJoinAlgorithm {
   /// Runs the three phases with `build` as the tree-building dataset and
   /// `probe` as the assigned dataset. `swapped` is true when build==B, in
   /// which case emitted pairs are flipped back to (a, b) order.
-  /// `probe_epsilon` enlarges probe boxes on the fly and `cancel` stops the
-  /// run early (see JoinWithPrebuiltTree).
+  /// `probe_epsilon` enlarges probe boxes on the fly, `cancel` stops the
+  /// run early and `pool` lends idle workers (see JoinWithPrebuiltTree).
   JoinStats JoinOriented(std::span<const Box> build,
                          std::span<const Box> probe, bool swapped,
                          ResultCollector& out,
                          const TouchTree* prebuilt = nullptr,
                          float probe_epsilon = 0.0f,
-                         CancellationToken cancel = {});
+                         CancellationToken cancel = {},
+                         WorkerPool* pool = nullptr);
 
   TouchOptions options_;
 };

@@ -8,13 +8,14 @@
 namespace touch {
 
 TouchTree::TouchTree(std::span<const Box> boxes, size_t leaf_capacity,
-                     size_t fanout) {
+                     size_t fanout, WorkerPool* pool, HelperSet* helpers) {
   leaf_capacity = std::max<size_t>(1, leaf_capacity);
   fanout = std::max<size_t>(2, fanout);
   if (boxes.empty()) return;
 
   // Phase 1a: STR-pack the objects into leaf buckets (paper section 5.1).
-  const StrPartitioning leaves = StrPartition(boxes, leaf_capacity);
+  const StrPartitioning leaves =
+      StrPartition(boxes, leaf_capacity, pool, helpers);
   num_leaves_ = leaves.NumBuckets();
   std::vector<uint32_t> current_level;
   current_level.reserve(num_leaves_);
@@ -38,7 +39,8 @@ TouchTree::TouchTree(std::span<const Box> boxes, size_t leaf_capacity,
     level_mbrs.reserve(current_level.size());
     for (uint32_t id : current_level) level_mbrs.push_back(nodes_[id].mbr);
 
-    const StrPartitioning packed = StrPartition(level_mbrs, fanout);
+    const StrPartitioning packed =
+        StrPartition(level_mbrs, fanout, pool, helpers);
     std::vector<uint32_t> next_level;
     next_level.reserve(packed.NumBuckets());
     for (size_t bucket = 0; bucket < packed.NumBuckets(); ++bucket) {

@@ -10,6 +10,9 @@
 
 namespace touch {
 
+class HelperSet;
+class WorkerPool;
+
 /// The hierarchical data-oriented partitioning tree of TOUCH (paper sections
 /// 4.3 and 5, Figure 5): an R-tree-like hierarchy bulk-loaded with STR over
 /// dataset A. Leaf nodes reference the objects of A; inner nodes exist to
@@ -38,7 +41,10 @@ class TouchTree {
 
   /// Builds the tree over `boxes` with STR packing: leaves hold up to
   /// `leaf_capacity` objects, inner nodes have up to `fanout` children.
-  TouchTree(std::span<const Box> boxes, size_t leaf_capacity, size_t fanout);
+  /// With a `pool`, the STR slab sorts borrow its idle workers (recorded in
+  /// `helpers`); the tree is identical either way.
+  TouchTree(std::span<const Box> boxes, size_t leaf_capacity, size_t fanout,
+            WorkerPool* pool = nullptr, HelperSet* helpers = nullptr);
 
   /// Converts an existing bulk-loaded R-tree over dataset A into the TOUCH
   /// tree, skipping the tree-building phase entirely — the paper's section

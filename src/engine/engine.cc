@@ -143,12 +143,16 @@ struct PbsmDirectory {
 
 // --- Artifact families ------------------------------------------------------
 
-/// What a family row reads: the request, its plan and the pinned snapshots.
+/// What a family row reads: the request, its plan and the pinned snapshots,
+/// plus the engine's pool, whose idle workers a build or probe may borrow
+/// (builds record the workers that helped in `build_helpers`).
 struct FamilyInput {
   const JoinPlan& plan;
   const JoinRequest& request;
   const DatasetSnapshot& a;
   const DatasetSnapshot& b;
+  WorkerPool& pool;
+  HelperSet& build_helpers;
 };
 
 /// One artifact a plan needs: its cache key, and the catalog boxes it is
@@ -204,10 +208,11 @@ std::vector<ArtifactNeed> TouchNeeds(const FamilyInput& in) {
                        ArtifactKind::kTouchTree);
 }
 
-IndexCache::ArtifactPtr BuildTouchTree(const FamilyInput&,
+IndexCache::ArtifactPtr BuildTouchTree(const FamilyInput& in,
                                        const ArtifactNeed& need) {
   return BuildCached<TouchTree>(need, [&](std::span<const Box> boxes) {
-    return TouchTree(boxes, need.key.shape_a, need.key.shape_b);
+    return TouchTree(boxes, need.key.shape_a, need.key.shape_b, &in.pool,
+                     &in.build_helpers);
   });
 }
 
@@ -218,7 +223,7 @@ JoinStats ProbeTouchTree(const FamilyInput& in,
   TouchJoin join(in.plan.touch);
   if (in.plan.build_on_a) {
     return join.JoinWithPrebuiltTree(entry.structure, entry.Boxes(in.a.boxes),
-                                     in.b.boxes, out, 0.0f, cancel);
+                                     in.b.boxes, out, 0.0f, cancel, &in.pool);
   }
   // The tree was built raw over B, so side A carries the enlargement —
   // applied on the fly per probe box, never as an O(|A|) copy: cache hits
@@ -226,7 +231,7 @@ JoinStats ProbeTouchTree(const FamilyInput& in,
   SwappedCollector swapped(out);
   return join.JoinWithPrebuiltTree(entry.structure, entry.Boxes(in.b.boxes),
                                    in.a.boxes, swapped, in.request.epsilon,
-                                   cancel);
+                                   cancel, &in.pool);
 }
 
 std::vector<ArtifactNeed> InlNeeds(const FamilyInput& in) {
@@ -568,8 +573,9 @@ void Deliver(const RequestStatePtr& state, JoinResult&& result) {
 }
 
 /// Ends a standing continuous join as Cancelled — the one teardown shared
-/// by Cancel, the engine's destructor and a baseline cut short by its
-/// deadline. With the stop flag up no *new* delta burst touches the sink;
+/// by Cancel, the engine's destructor, a baseline cut short by its deadline
+/// and a subscription whose deadline passed (ended at the next mutation
+/// batch). With the stop flag up no *new* delta burst touches the sink;
 /// the barrier lock waits out a burst already holding the emission mutex.
 /// After it, delivery is safe — the sink can no longer be mid-call. (The
 /// subscription list entry is pruned lazily by the next mutation batch,
@@ -753,7 +759,6 @@ uint64_t QueryEngine::ApplyMutations(DatasetHandle dataset,
       return !m.had_old && !m.has_new;
     });
   }
-  if (net.empty()) return version;
 
   MutexLock sink_lock(delta_sink_mutex_);
   for (auto it = subs_.begin(); it != subs_.end();) {
@@ -762,7 +767,17 @@ uint64_t QueryEngine::ApplyMutations(DatasetHandle dataset,
       it = subs_.erase(it);  // cancelled since the last batch
       continue;
     }
-    if (sub.request.a == dataset || sub.request.b == dataset) {
+    if (sub.cancel.stop_requested()) {
+      // Stopped yet undelivered: its deadline passed since the last batch
+      // (a racing Cancel delivers on its own; Deliver runs once either
+      // way). The delta probe would skip the sink forever, so the
+      // subscription ends here, Cancelled.
+      EndSubscription(*it);
+      it = subs_.erase(it);
+      continue;
+    }
+    if (!net.empty() &&
+        (sub.request.a == dataset || sub.request.b == dataset)) {
       SpanScope probe_span(mutate_span.context(), "delta-probe");
       const size_t deltas = DeltaProbeLocked(sub, dataset, net);
       probe_span.AddAttr("deltas", std::to_string(deltas));
@@ -1157,7 +1172,6 @@ JoinResult QueryEngine::ExecuteFixed(const std::string& algorithm,
   plan->touch.join_order = plan->build_on_a
                                ? TouchOptions::JoinOrder::kBuildOnA
                                : TouchOptions::JoinOrder::kBuildOnB;
-  plan->touch.threads = 1;
   plan->rationale = "algorithm fixed by caller";
   auto state = NewRequestState(request, std::make_unique<ForwardingSink>(out),
                                nullptr);
@@ -1277,7 +1291,9 @@ JoinResult QueryEngine::ExecuteCached(const internal::ArtifactFamily& family,
                                       const ExecContext& ctx) {
   JoinResult result;
   Timer total;
-  const FamilyInput in{plan, request, *ctx.snap_a, *ctx.snap_b};
+  HelperSet build_helpers;
+  const FamilyInput in{plan,        request, *ctx.snap_a,
+                       *ctx.snap_b, pool_,   build_helpers};
   const std::vector<ArtifactNeed> needs = family.needs(in);
   if (needs.empty()) {
     result.stats.total_seconds = total.Seconds();
@@ -1319,6 +1335,7 @@ JoinResult QueryEngine::ExecuteCached(const internal::ArtifactFamily& family,
   build_span.AddAttr("cache", result.index_cache_hit ? "hit"
                               : result.partial_index_cache_hit ? "partial"
                                                                : "miss");
+  build_span.AddAttr("helpers", std::to_string(build_helpers.count()));
   build_span.End();
   metrics_->histogram("touch_engine_build_seconds")
       .Observe(build_phase.Seconds());

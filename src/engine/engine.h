@@ -14,7 +14,7 @@
 #include "engine/catalog.h"
 #include "engine/index_cache.h"
 #include "engine/planner.h"
-#include "engine/worker_pool.h"
+#include "util/worker_pool.h"
 #include "join/algorithm.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -56,6 +56,8 @@ enum class DeltaKind : uint8_t { kAdded = 0, kRemoved = 1 };
 
 struct EngineOptions {
   /// Worker threads for submitted requests; <= 0 uses hardware concurrency.
+  /// A running TOUCH request also borrows the idle ones for its index build
+  /// and local join (WorkerPool::ForkJoin).
   int threads = 0;
   PlannerOptions planner;
   /// Byte cap on the index cache (0 = unbounded). Once resident artifacts

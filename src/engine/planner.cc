@@ -78,7 +78,6 @@ JoinPlan Planner::Plan(const DatasetStats& stats_a, const DatasetStats& stats_b,
   const size_t larger = std::max(size_a, size_b);
 
   JoinPlan plan;
-  plan.touch.threads = 1;  // batch-level parallelism belongs to the engine
 
   if (smaller == 0) {
     plan.algorithm = "nl";

@@ -9,6 +9,9 @@
 
 namespace touch {
 
+class HelperSet;
+class WorkerPool;
+
 /// Result of Sort-Tile-Recursive packing: a permutation of the input ids
 /// grouped into consecutive buckets.
 ///
@@ -37,7 +40,13 @@ struct StrPartitioning {
 /// "typically produces leaf nodes with the smallest MBRs" (paper section 5.1)
 /// which is why both the R-tree bulk loader and TOUCH's partitioning phase
 /// use it.
-StrPartitioning StrPartition(std::span<const Box> boxes, size_t bucket_size);
+///
+/// With a `pool`, the per-x-slab y/z sorts of large inputs run as
+/// fork-join chunks on its idle workers (recorded in `helpers`); the
+/// partitioning is identical either way.
+StrPartitioning StrPartition(std::span<const Box> boxes, size_t bucket_size,
+                             WorkerPool* pool = nullptr,
+                             HelperSet* helpers = nullptr);
 
 /// MBR of a bucket of object ids.
 Box BucketMbr(std::span<const Box> boxes, std::span<const uint32_t> ids);

@@ -1,5 +1,5 @@
-#ifndef TOUCH_ENGINE_WORKER_POOL_H_
-#define TOUCH_ENGINE_WORKER_POOL_H_
+#ifndef TOUCH_UTIL_WORKER_POOL_H_
+#define TOUCH_UTIL_WORKER_POOL_H_
 
 #include <atomic>
 #include <cstddef>
@@ -13,9 +13,29 @@
 
 namespace touch {
 
+/// Which pool workers, other than the caller, ran at least one chunk of the
+/// ForkJoin calls it was passed to: one blocking phase's `helpers` count
+/// (a phase may fork several times, e.g. once per STR level).
+class HelperSet {
+ public:
+  /// Distinct workers that ran at least one chunk.
+  int count() const;
+
+ private:
+  friend class WorkerPool;
+  // One flag per worker index. A helper sets its own flag after claiming a
+  // chunk; the caller reads the flags once ForkJoin returned, which orders
+  // after every claimed chunk.
+  std::vector<uint8_t> ran_;
+};
+
 /// Reusable fixed-size worker pool. Unlike the per-call thread spawning of
 /// PartitionedJoin, the engine keeps one pool alive across queries, so a
 /// steady stream of batches pays thread start-up once.
+///
+/// Besides whole tasks, a thread already inside a blocking phase can borrow
+/// the pool's idle workers through ForkJoin (see there): a lone request then
+/// uses the whole pool, while a saturated pool runs it exactly as before.
 ///
 /// ## Shutdown ordering
 ///
@@ -55,7 +75,9 @@ class WorkerPool {
   /// Tasks waiting in the queue right now (excludes running ones).
   size_t queue_depth() const EXCLUDES(mutex_);
 
-  /// Workers currently inside a task or its on_done notification.
+  /// Workers between dequeuing a task and finishing it (its should_run,
+  /// body and on_done). Counted at dequeue, under the queue lock, so
+  /// ForkJoin never mistakes a worker that just took a task for an idle one.
   int busy_workers() const {
     return busy_workers_.load(std::memory_order_relaxed);
   }
@@ -88,16 +110,43 @@ class WorkerPool {
   /// by other threads while waiting extend the wait).
   void WaitIdle() EXCLUDES(mutex_);
 
+  /// Fork-join over chunks [0, n): runs `body(chunk, slot)` once per chunk
+  /// and returns when every claimed chunk has finished. The calling thread
+  /// claims and runs chunks itself (slot 0). It offers helper tasks only to
+  /// the workers idle right now (thread_count - busy - queued, at most
+  /// n - 1), so a saturated pool offers none and the caller runs every
+  /// chunk in order. Helpers take slots 1..thread_count(), one each, so
+  /// per-slot scratch needs ForkJoinSlots(pool) entries. A helper stops
+  /// claiming as soon as a submitted task waits in the queue: a pool that
+  /// fills up gets its borrowed workers back at the next chunk boundary,
+  /// and the caller runs what is left.
+  ///
+  /// Chunks are claimed in increasing order from one shared counter. A
+  /// helper that starts after the last chunk was claimed touches only the
+  /// refcounted counter, never `body`. If a chunk throws, chunks claimed
+  /// later skip their body, and the first exception is rethrown here after
+  /// every claimed chunk finished. `helpers` (optional) records which
+  /// workers ran a chunk.
+  ///
+  /// Helper tasks go through the queue like any task, so queue_depth and
+  /// tasks_completed count them.
+  void ForkJoin(size_t n, const std::function<void(size_t, size_t)>& body,
+                HelperSet* helpers = nullptr) EXCLUDES(mutex_);
+
  private:
   struct Task {
     std::function<void()> run;
     std::function<void()> on_done;     // may be null
     std::function<bool()> should_run;  // may be null (always run)
+    bool helper = false;               // a ForkJoin helper
   };
 
-  void WorkerLoop() EXCLUDES(mutex_);
+  void WorkerLoop(int index) EXCLUDES(mutex_);
 
   std::atomic<int> busy_workers_{0};
+  // Queued tasks that are not ForkJoin helpers; written under mutex_, read
+  // lock-free by helpers deciding whether to give their worker back.
+  std::atomic<int> queued_tasks_{0};
   std::atomic<uint64_t> tasks_completed_{0};
   mutable Mutex mutex_;
   CondVar work_available_;
@@ -108,6 +157,16 @@ class WorkerPool {
   std::vector<std::thread> workers_;
 };
 
+/// Slots a ForkJoin body may see on `pool` (null: the caller alone).
+inline size_t ForkJoinSlots(const WorkerPool* pool) {
+  return pool == nullptr ? 1 : static_cast<size_t>(pool->thread_count()) + 1;
+}
+
+/// ForkJoin on `pool`; a null pool runs every chunk on the caller, slot 0.
+void ForkJoin(WorkerPool* pool, size_t n,
+              const std::function<void(size_t, size_t)>& body,
+              HelperSet* helpers = nullptr);
+
 }  // namespace touch
 
-#endif  // TOUCH_ENGINE_WORKER_POOL_H_
+#endif  // TOUCH_UTIL_WORKER_POOL_H_

@@ -16,8 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -292,6 +294,40 @@ TEST(ContinuousJoinTest, RejectsMissingSinkAndSelfJoin) {
                                std::make_shared<FoldState>()))
           .Get();
   EXPECT_EQ(self_join.status, RequestStatus::kError);
+}
+
+// A deadline that passes after the baseline must still complete the
+// standing join: the next mutation batch ends it as Cancelled, and later
+// batches no longer reach the sink.
+TEST(ContinuousJoinTest, DeadlinePassedAfterBaselineEndsAtNextBatch) {
+  QueryEngine engine;
+  const DatasetHandle a = engine.RegisterDataset(
+      "A", GenerateSynthetic(Distribution::kUniform, 200, 23));
+  const DatasetHandle b = engine.RegisterDataset(
+      "B", GenerateSynthetic(Distribution::kClustered, 200, 24));
+  auto fold = std::make_shared<FoldState>();
+  JoinRequest request{a, b, 25.0f};
+  request.continuous = true;
+  request.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  RequestHandle handle =
+      engine.Submit(request, std::make_unique<FoldingSink>(fold));
+  ASSERT_TRUE(handle.valid());
+  ASSERT_TRUE(fold->completions.empty()) << "baseline outlived the deadline";
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  MutationFuzzer fuzz_a(/*seed=*/41, 200, /*space=*/1000.0f);
+  engine.ApplyMutations(a, fuzz_a.NextBatch(20));
+  // Delivered synchronously by the batch; reading the future before this
+  // holds would block forever.
+  ASSERT_EQ(fold->completions.size(), 1u);
+  EXPECT_EQ(fold->completions[0], RequestStatus::kCancelled);
+  EXPECT_EQ(handle.Get().status, RequestStatus::kCancelled);
+
+  const uint64_t deltas_at_deadline = fold->deltas;
+  engine.ApplyMutations(a, fuzz_a.NextBatch(20));
+  EXPECT_EQ(fold->deltas, deltas_at_deadline);
+  EXPECT_EQ(fold->completions.size(), 1u);
 }
 
 // --- sharded vs unsharded under mutation ------------------------------------

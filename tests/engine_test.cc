@@ -66,6 +66,48 @@ TEST_F(QueryEngineTest, ColdAndCachedRunsProduceIdenticalPairs) {
   EXPECT_EQ(SortedPairs(cached), oracle);
 }
 
+// A lone TOUCH request borrows the idle workers of a bigger pool for its
+// STR build and local join, yet emits on one thread in the sequential
+// order: the pair sequence and the work counters equal a 1-worker pool's,
+// cold (build + probe) and warm (probe only).
+TEST(QueryEngineParallelTest, LoneTouchRequestMatchesSingleWorkerPool) {
+  const Dataset small = GenerateSynthetic(Distribution::kClustered, 30000, 53);
+  const Dataset large = GenerateSynthetic(Distribution::kClustered, 50000, 54);
+  struct Run {
+    std::vector<IdPair> pairs;
+    JoinStats stats;
+  };
+  const auto run_twice = [&](int threads) {
+    EngineOptions options;
+    options.threads = threads;
+    QueryEngine engine(options);
+    const DatasetHandle a = engine.RegisterDataset("small", small);
+    const DatasetHandle b = engine.RegisterDataset("large", large);
+    std::vector<Run> runs;
+    for (int i = 0; i < 2; ++i) {
+      VectorCollector out;
+      const JoinResult result = engine.ExecuteFixed("touch", {a, b, 2.0f}, out);
+      EXPECT_TRUE(result.ok()) << result.error;
+      EXPECT_EQ(result.index_cache_hit, i == 1);
+      runs.push_back({out.pairs(), result.stats});
+    }
+    return runs;
+  };
+  const std::vector<Run> expected = run_twice(1);
+  const std::vector<Run> parallel = run_twice(3);
+  ASSERT_GT(expected[0].pairs.size(), 10000u);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE(i == 0 ? "cold" : "warm");
+    EXPECT_EQ(parallel[i].pairs, expected[i].pairs);
+    EXPECT_EQ(parallel[i].stats.results, expected[i].stats.results);
+    EXPECT_EQ(parallel[i].stats.comparisons, expected[i].stats.comparisons);
+    EXPECT_EQ(parallel[i].stats.node_comparisons,
+              expected[i].stats.node_comparisons);
+    EXPECT_EQ(parallel[i].stats.filtered, expected[i].stats.filtered);
+    EXPECT_EQ(parallel[i].stats.memory_bytes, expected[i].stats.memory_bytes);
+  }
+}
+
 // When A is the larger dataset the plan builds the tree on B and the engine
 // must still emit pairs in (a, b) order.
 TEST_F(QueryEngineTest, BuildOnBKeepsPairOrder) {

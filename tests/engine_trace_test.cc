@@ -110,6 +110,40 @@ TEST_F(EngineTraceTest, TracedRequestProducesARootedPhaseSpanTree) {
             1u);
 }
 
+// The TOUCH build and local join report how many other pool workers ran
+// their fork-join chunks: none on a 1-worker pool, at most the pool's
+// other workers otherwise.
+TEST_F(EngineTraceTest, TouchPhasesReportTheirHelpers) {
+  const Dataset a_boxes =
+      GenerateSynthetic(Distribution::kClustered, 30000, 63);
+  const Dataset b_boxes =
+      GenerateSynthetic(Distribution::kClustered, 50000, 64);
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    tracer_ = std::make_shared<Tracer>();
+    EngineOptions options = TracedOptions();
+    options.threads = threads;
+    QueryEngine engine(options);
+    const DatasetHandle a = engine.RegisterDataset("a", a_boxes);
+    const DatasetHandle b = engine.RegisterDataset("b", b_boxes);
+    CountingCollector out;
+    const JoinResult result = engine.ExecuteFixed("touch", {a, b, 2.0f}, out);
+    ASSERT_TRUE(result.ok()) << result.error;
+    const TraceView view(*tracer_);
+    for (const std::string name : {"build-index", "touch-local-join"}) {
+      const SpanRecord* span = view.Find(name);
+      ASSERT_NE(span, nullptr) << name;
+      const auto attr = std::find_if(
+          span->attrs.begin(), span->attrs.end(),
+          [](const SpanAttr& kv) { return kv.first == "helpers"; });
+      ASSERT_NE(attr, span->attrs.end()) << name;
+      const int helpers = std::stoi(attr->second);
+      EXPECT_GE(helpers, 0) << name;
+      EXPECT_LE(helpers, threads - 1) << name;
+    }
+  }
+}
+
 TEST_F(EngineTraceTest, PhaseObserverStillFiresAlongsideTheTracer) {
   // EngineOptions::phase_observer is now an adapter over the same phase
   // transitions the tracer records; both must see every transition.

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "datagen/distributions.h"
 #include "test_util.h"
+#include "util/worker_pool.h"
 
 namespace touch {
 namespace {
@@ -122,6 +124,27 @@ TEST(StrTest, BucketSizeZeroIsTreatedAsOne) {
   const Dataset boxes = GenerateSynthetic(Distribution::kUniform, 10, 9);
   const StrPartitioning p = StrPartition(boxes, 0);
   EXPECT_EQ(p.NumBuckets(), 10u);
+}
+
+// The per-slab sorts fork onto a pool's idle workers; slabs are disjoint
+// and ties break by id, so the partitioning is the sequential one.
+TEST(StrTest, PooledPartitionIsIdenticalToSequential) {
+  const Dataset boxes = GenerateSynthetic(Distribution::kClustered, 50000, 19);
+  // Many equal centers exercise the tie-break inside the forked sorts.
+  Dataset tied = boxes;
+  for (size_t i = 0; i < tied.size(); i += 3) tied[i] = tied[0];
+  WorkerPool pool(3);
+  for (const Dataset* input : std::vector<const Dataset*>{&boxes, &tied}) {
+    for (const size_t bucket : {size_t{1}, size_t{7}, size_t{64}}) {
+      const StrPartitioning expected = StrPartition(*input, bucket);
+      HelperSet helpers;
+      const StrPartitioning pooled =
+          StrPartition(*input, bucket, &pool, &helpers);
+      EXPECT_EQ(pooled.order, expected.order) << "bucket " << bucket;
+      EXPECT_EQ(pooled.bucket_begin, expected.bucket_begin);
+      EXPECT_LE(helpers.count(), pool.thread_count());
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
-// Tests of the multi-threaded TOUCH join phase: results and counters must be
-// independent of the thread count; only wall-clock and result order may vary.
+// Tests of the multi-threaded TOUCH join: the STR build and the local joins
+// run on a pool's helpers, but emission stays on the calling thread in the
+// sequential order, so the pair *sequence* and every JoinStats counter must
+// equal the single-threaded run's.
 
 #include <gtest/gtest.h>
 
@@ -10,43 +12,71 @@
 namespace touch {
 namespace {
 
+struct JoinRun {
+  std::vector<IdPair> pairs;  // in emission order
+  JoinStats stats;
+};
+
+JoinRun RunJoin(const TouchOptions& options, const Dataset& a, const Dataset& b,
+                float epsilon = 0.0f) {
+  TouchJoin join(options);
+  VectorCollector out;
+  JoinRun run;
+  run.stats = epsilon > 0 ? DistanceJoin(join, a, b, epsilon, out)
+                          : join.Join(a, b, out);
+  run.pairs = out.pairs();
+  return run;
+}
+
+void ExpectSameRun(const JoinRun& got, const JoinRun& expected) {
+  EXPECT_EQ(got.pairs, expected.pairs);
+  EXPECT_EQ(got.stats.results, expected.stats.results);
+  EXPECT_EQ(got.stats.comparisons, expected.stats.comparisons);
+  EXPECT_EQ(got.stats.node_comparisons, expected.stats.node_comparisons);
+  EXPECT_EQ(got.stats.filtered, expected.stats.filtered);
+  EXPECT_EQ(got.stats.memory_bytes, expected.stats.memory_bytes);
+}
+
 class TouchParallelTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
     a_ = GenerateSynthetic(Distribution::kClustered, 3000, 111);
     for (Box& box : a_) box = box.Enlarged(6.0f);
     b_ = GenerateSynthetic(Distribution::kClustered, 6000, 112);
+    // Large enough for STR slabs to fork and for grid nodes to be split
+    // into item chunks.
+    big_a_ = GenerateSynthetic(Distribution::kClustered, 40000, 117);
+    big_b_ = GenerateSynthetic(Distribution::kClustered, 60000, 118);
   }
   Dataset a_;
   Dataset b_;
+  Dataset big_a_;
+  Dataset big_b_;
 };
 
-TEST_P(TouchParallelTest, ResultsMatchSequentialRun) {
-  TouchJoin sequential;
-  const auto expected = RunJoinSorted(sequential, a_, b_);
-
-  TouchOptions opt;
-  opt.threads = GetParam();
-  TouchJoin parallel(opt);
-  JoinStats stats;
-  EXPECT_EQ(RunJoinSorted(parallel, a_, b_, &stats), expected);
-  EXPECT_EQ(stats.results, expected.size());
+TEST_P(TouchParallelTest, PairSequenceAndCountersMatchSequentialRun) {
+  TouchOptions parallel;
+  parallel.threads = GetParam();
+  const JoinRun expected = RunJoin(TouchOptions{}, a_, b_);
+  ASSERT_FALSE(expected.pairs.empty());
+  ExpectSameRun(RunJoin(parallel, a_, b_), expected);
 }
 
-TEST_P(TouchParallelTest, CountersMatchSequentialRun) {
-  TouchJoin sequential;
-  JoinStats seq_stats;
-  RunJoinSorted(sequential, a_, b_, &seq_stats);
+TEST_P(TouchParallelTest, LargeJoinMatchesSequentialRun) {
+  TouchOptions parallel;
+  parallel.threads = GetParam();
+  const JoinRun expected = RunJoin(TouchOptions{}, big_a_, big_b_, 2.0f);
+  ASSERT_GT(expected.pairs.size(), 10000u);
+  ExpectSameRun(RunJoin(parallel, big_a_, big_b_, 2.0f), expected);
+}
 
-  TouchOptions opt;
-  opt.threads = GetParam();
-  TouchJoin parallel(opt);
-  JoinStats par_stats;
-  RunJoinSorted(parallel, a_, b_, &par_stats);
-  // The same local joins run, just on different threads.
-  EXPECT_EQ(par_stats.comparisons, seq_stats.comparisons);
-  EXPECT_EQ(par_stats.filtered, seq_stats.filtered);
-  EXPECT_EQ(par_stats.results, seq_stats.results);
+TEST_P(TouchParallelTest, BuildOnBMatchesSequentialRun) {
+  TouchOptions sequential;
+  sequential.join_order = TouchOptions::JoinOrder::kBuildOnB;
+  TouchOptions parallel = sequential;
+  parallel.threads = GetParam();
+  ExpectSameRun(RunJoin(parallel, big_a_, big_b_, 1.0f),
+                RunJoin(sequential, big_a_, big_b_, 1.0f));
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, TouchParallelTest,
@@ -55,21 +85,10 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, TouchParallelTest,
 TEST(TouchParallelEdgeTest, ParallelDistanceJoinMatches) {
   const Dataset a = GenerateSynthetic(Distribution::kGaussian, 2000, 113);
   const Dataset b = GenerateSynthetic(Distribution::kGaussian, 4000, 114);
-
-  TouchJoin sequential;
-  VectorCollector seq_out;
-  DistanceJoin(sequential, a, b, 7.5f, seq_out);
-  auto expected = seq_out.pairs();
-  std::sort(expected.begin(), expected.end());
-
-  TouchOptions opt;
-  opt.threads = 4;
-  TouchJoin parallel(opt);
-  VectorCollector par_out;
-  DistanceJoin(parallel, a, b, 7.5f, par_out);
-  auto got = par_out.pairs();
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, expected);
+  TouchOptions parallel;
+  parallel.threads = 4;
+  ExpectSameRun(RunJoin(parallel, a, b, 7.5f),
+                RunJoin(TouchOptions{}, a, b, 7.5f));
 }
 
 TEST(TouchParallelEdgeTest, TinyInputsWithManyThreads) {
@@ -91,12 +110,15 @@ TEST(TouchParallelEdgeTest, AllLocalJoinStrategiesParallelize) {
   for (const LocalJoinStrategy strategy :
        {LocalJoinStrategy::kGrid, LocalJoinStrategy::kPlaneSweep,
         LocalJoinStrategy::kNestedLoop}) {
-    TouchOptions opt;
-    opt.threads = 4;
-    opt.local_join = strategy;
-    TouchJoin join(opt);
-    EXPECT_EQ(RunJoinSorted(join, enlarged, b), oracle)
-        << LocalJoinStrategyName(strategy);
+    TouchOptions sequential;
+    sequential.local_join = strategy;
+    TouchOptions parallel = sequential;
+    parallel.threads = 4;
+    const JoinRun expected = RunJoin(sequential, enlarged, b);
+    ExpectSameRun(RunJoin(parallel, enlarged, b), expected);
+    std::vector<IdPair> sorted = expected.pairs;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, oracle) << LocalJoinStrategyName(strategy);
   }
 }
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "datagen/distributions.h"
 #include "test_util.h"
+#include "util/worker_pool.h"
 
 namespace touch {
 namespace {
@@ -139,6 +142,29 @@ TEST(TouchTreeTest, MemoryUsageIsPositiveAndGrows) {
   const TouchTree t2(large, 8, 2);
   EXPECT_GT(t1.MemoryUsageBytes(), 0u);
   EXPECT_LT(t1.MemoryUsageBytes(), t2.MemoryUsageBytes());
+}
+
+TEST(TouchTreeTest, PooledBuildIsIdenticalToSequential) {
+  const Dataset boxes = GenerateSynthetic(Distribution::kGaussian, 60000, 23);
+  WorkerPool pool(3);
+  const TouchTree expected(boxes, 64, 2);
+  HelperSet helpers;
+  const TouchTree pooled(boxes, 64, 2, &pool, &helpers);
+  ASSERT_EQ(pooled.nodes().size(), expected.nodes().size());
+  for (size_t i = 0; i < expected.nodes().size(); ++i) {
+    const TouchTree::Node& got = pooled.nodes()[i];
+    const TouchTree::Node& want = expected.nodes()[i];
+    EXPECT_EQ(got.mbr, want.mbr) << "node " << i;
+    EXPECT_EQ(got.children_begin, want.children_begin);
+    EXPECT_EQ(got.children_count, want.children_count);
+    EXPECT_EQ(got.item_begin, want.item_begin);
+    EXPECT_EQ(got.item_end, want.item_end);
+    EXPECT_EQ(got.level, want.level);
+  }
+  EXPECT_TRUE(std::ranges::equal(pooled.child_ids(), expected.child_ids()));
+  EXPECT_TRUE(std::ranges::equal(pooled.item_ids(), expected.item_ids()));
+  EXPECT_EQ(pooled.root(), expected.root());
+  EXPECT_EQ(pooled.MemoryUsageBytes(), expected.MemoryUsageBytes());
 }
 
 }  // namespace
