@@ -386,6 +386,10 @@ bool DeserializeDatasetStats(std::span<const uint8_t> bytes,
   return true;
 }
 
+bool IsApplicableBox(const Box& box) {
+  return box.lo.x <= box.hi.x && box.lo.y <= box.hi.y && box.lo.z <= box.hi.z;
+}
+
 DatasetHandle DatasetCatalog::Register(std::string name, Dataset boxes) {
   DatasetStats stats = ComputeDatasetStats(boxes);
   return Register(std::move(name), std::move(boxes), std::move(stats));
@@ -447,10 +451,12 @@ void DatasetCatalog::EnsureDynamicLocked(Entry& e) {
   e.cur_boxes.assign(boxes.begin(), boxes.end());
   e.cur_ids.resize(boxes.size());
   e.slot_of.reserve(boxes.size());
+  // Never mutated yet, so slot i holds object i: the packed tree's ids are
+  // the object ids.
+  e.tree.BulkLoad(boxes);
   for (uint32_t i = 0; i < boxes.size(); ++i) {
     e.cur_ids[i] = i;
     e.slot_of.emplace(i, i);
-    e.tree.Insert(i, boxes[i]);
     const Vec3 ext = boxes[i].Extent();
     e.sum_x.Add(ext.x);
     e.sum_y.Add(ext.y);
@@ -492,6 +498,7 @@ uint64_t DatasetCatalog::ApplyMutations(
     AppliedMutation record;
     switch (m.kind) {
       case MutationKind::kInsert: {
+        if (!IsApplicableBox(m.box)) continue;
         uint32_t id = m.id;
         if (id == kInvalidObjectId) {
           id = e.next_id++;
@@ -547,7 +554,7 @@ uint64_t DatasetCatalog::ApplyMutations(
       }
       case MutationKind::kUpdate: {
         const auto it = e.slot_of.find(m.id);
-        if (it == e.slot_of.end()) continue;
+        if (it == e.slot_of.end() || !IsApplicableBox(m.box)) continue;
         const uint32_t slot = it->second;
         const Box old_box = e.cur_boxes[slot];
         e.tree.Update(m.id, old_box, m.box);

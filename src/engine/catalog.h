@@ -116,10 +116,17 @@ struct Mutation {
   Box box;
 };
 
+/// True when an insert's or update's box may enter a dataset: lo <= hi on
+/// every axis, which also rejects any NaN coordinate (every comparison with
+/// NaN is false). A mutation carrying any other box is inapplicable, so
+/// stats sums, histograms and trees never see a NaN or inverted box.
+bool IsApplicableBox(const Box& box);
+
 /// Effect of one applied mutation, reported so the engine's delta-probe can
 /// diff an object's old and new epsilon-windows without rescanning geometry.
 /// Mutations that do not apply (delete/update of an unknown id, insert of a
-/// live id) are skipped and not reported.
+/// live id, insert/update with a box IsApplicableBox rejects) are skipped
+/// and not reported.
 struct AppliedMutation {
   uint32_t id = 0;
   bool had_old = false;
@@ -230,8 +237,11 @@ class DatasetCatalog {
       EXCLUDES(mutex_);
 
   /// Probes the dataset's backing DynamicRTree: `emit(id, box)` for every
-  /// live object whose box intersects `query`. This is the delta-probe's
-  /// epsilon-window primitive — O(log n + answers), no geometry rescans.
+  /// live object whose box intersects `query`, in tree order (the order
+  /// follows the tree's layout, not the ids). This is the standing join's
+  /// baseline and delta-probe primitive — O(log n + answers), no geometry
+  /// rescans. The first call on a never-mutated dataset materializes the
+  /// tree.
   void QueryObjects(DatasetHandle handle, const Box& query,
                     const std::function<void(uint32_t, const Box&)>& emit)
       const EXCLUDES(mutex_);
@@ -250,6 +260,8 @@ class DatasetCatalog {
     /// tree probe (EnsureDynamicLocked) so purely static datasets pay
     /// nothing beyond the registration scan.
     bool dynamic_ready GUARDED_BY(m) = false;
+    /// STR-packed over the registered boxes (ids = slots) when
+    /// materialized, then maintained by the Guttman insert/delete policy.
     DynamicRTree tree GUARDED_BY(m);
     std::vector<Box> cur_boxes GUARDED_BY(m);
     std::vector<uint32_t> cur_ids GUARDED_BY(m);

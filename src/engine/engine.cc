@@ -449,6 +449,10 @@ const char* RequestStatusName(RequestStatus status) {
   return "unknown";
 }
 
+/// Where a standing join is in the touch_subscriptions gauge: kLive from
+/// subscribe to delivery, whichever order a racing Cancel makes them run.
+enum class Subscription : uint8_t { kNone, kLive, kEnded };
+
 /// Everything one submitted request needs to execute and complete,
 /// reference-counted across the handle, the pool task and its completion
 /// notification.
@@ -490,6 +494,10 @@ struct internal::RequestState {
   /// An ExecuteFixed run: its root span says fixed=true in place of the
   /// cache attr submitted requests carry.
   bool fixed = false;
+  /// Continuous only. Subscribe (kNone -> kLive) and delivery (-> kEnded)
+  /// both go through this one atomic, so the gauge drops once for every
+  /// count it gained.
+  std::atomic<Subscription> subscription{Subscription::kNone};
   /// Serializes this subscription's delta emission against its Cancel:
   /// every EmitDelta runs under it, and Cancel barrier-locks it after
   /// raising the stop flag, so delivery (which frees the sink) can never
@@ -523,6 +531,11 @@ JoinResult ErrorResult(std::string message) {
 /// shared request state is never mutated outside the delivery claim.
 void Deliver(const RequestStatePtr& state, JoinResult&& result) {
   if (state->delivered.exchange(true, std::memory_order_acq_rel)) return;
+  if (state->subscription.exchange(Subscription::kEnded) ==
+          Subscription::kLive &&
+      state->metrics != nullptr) {
+    state->metrics->gauge("touch_subscriptions").Add(-1);
+  }
   state->phase.store(result.cancelled() ? RequestPhase::kCancelled
                                         : RequestPhase::kCompleted,
                      std::memory_order_release);
@@ -676,6 +689,7 @@ QueryEngine::QueryEngine(const EngineOptions& options)
   // TOUCH_SIMD_LEVEL terminates at engine construction with its diagnostic
   // instead of mid-join on a pool thread.
   ActiveKernels();
+  metrics_->gauge("touch_subscriptions");  // exported as 0 until one subscribes
   cache_.RegisterMetricProviders(*metrics_, "touch_cache_");
   metrics_->SetProvider("touch_pool_queue_depth", MetricType::kGauge, [this] {
     return static_cast<double>(pool_.queue_depth());
@@ -779,9 +793,13 @@ uint64_t QueryEngine::ApplyMutations(DatasetHandle dataset,
     if (!net.empty() &&
         (sub.request.a == dataset || sub.request.b == dataset)) {
       SpanScope probe_span(mutate_span.context(), "delta-probe");
-      const size_t deltas = DeltaProbeLocked(sub, dataset, net);
-      probe_span.AddAttr("deltas", std::to_string(deltas));
-      metrics_->counter("touch_delta_results_total").Increment(deltas);
+      const Timer probe_timer;
+      const DeltaProbeCounts counts = DeltaProbeLocked(sub, dataset, net);
+      metrics_->histogram("touch_delta_probe_seconds")
+          .Observe(probe_timer.Seconds());
+      probe_span.AddAttr("deltas", std::to_string(counts.deltas));
+      probe_span.AddAttr("probes", std::to_string(counts.probes));
+      metrics_->counter("touch_delta_results_total").Increment(counts.deltas);
     }
     ++it;
   }
@@ -1055,18 +1073,25 @@ RequestHandle QueryEngine::SubmitContinuous(
     return handle;
   }
   MutexLock sink_lock(delta_sink_mutex_);
+  Gauge& live = metrics_->gauge("touch_subscriptions");
+  live.Add(1);
+  Subscription unsubscribed = Subscription::kNone;
+  if (!state->subscription.compare_exchange_strong(unsubscribed,
+                                                   Subscription::kLive)) {
+    live.Add(-1);  // a racing Cancel delivered it after the baseline
+  }
   subs_.push_back(std::move(state));
   return handle;
 }
 
-size_t QueryEngine::DeltaProbeLocked(internal::RequestState& state,
-                                     DatasetHandle mutated,
-                                     std::span<const AppliedMutation> net) {
+QueryEngine::DeltaProbeCounts QueryEngine::DeltaProbeLocked(
+    internal::RequestState& state, DatasetHandle mutated,
+    std::span<const AppliedMutation> net) {
   const bool mutated_is_a = state.request.a == mutated;
   const DatasetHandle partner =
       mutated_is_a ? state.request.b : state.request.a;
   const float epsilon = state.request.epsilon;
-  size_t deltas = 0;
+  DeltaProbeCounts counts;
   MutexLock emit_lock(state.cont_sink_mutex);
   // A Cancel that raised the stop flag before we took the emission lock may
   // already be past its barrier and freeing the sink — the flag check must
@@ -1075,7 +1100,7 @@ size_t QueryEngine::DeltaProbeLocked(internal::RequestState& state,
   // alive until we release).
   if (state.cancel.stop_requested() ||
       state.delivered.load(std::memory_order_acquire)) {
-    return 0;
+    return counts;
   }
   ResultSink& sink = *state.sink;
   std::vector<uint32_t> old_ids;
@@ -1087,7 +1112,11 @@ size_t QueryEngine::DeltaProbeLocked(internal::RequestState& state,
     } else {
       sink.EmitDelta(kind, partner_id, moved_id);
     }
-    ++deltas;
+    ++counts.deltas;
+  };
+  const auto probe = [&](const Box& window, const auto& on_hit) {
+    catalog_.QueryObjects(partner, window, on_hit);
+    ++counts.probes;
   };
   for (const AppliedMutation& m : net) {
     // Cooperative cancellation between objects: a standing query being
@@ -1099,15 +1128,23 @@ size_t QueryEngine::DeltaProbeLocked(internal::RequestState& state,
     // window, the new window, or both. Enlarging the moved side is
     // equivalent to enlarging the partner (closed-box intersection is
     // symmetric under enlargement), so one probe orientation serves both.
-    if (m.had_old) {
-      catalog_.QueryObjects(
-          partner, m.old_box.Enlarged(epsilon),
-          [&](uint32_t id, const Box&) { old_ids.push_back(id); });
-    }
-    if (m.has_new) {
-      catalog_.QueryObjects(
-          partner, m.new_box.Enlarged(epsilon),
-          [&](uint32_t id, const Box&) { new_ids.push_back(id); });
+    const Box old_win = m.old_box.Enlarged(epsilon);
+    const Box new_win = m.new_box.Enlarged(epsilon);
+    if (m.had_old && m.has_new && Intersects(old_win, new_win)) {
+      // A short move: one traversal of the windows' union, each hit then
+      // sorted by the very leaf test a probe of either window applies, so
+      // both id lists are exactly the two probes' answers.
+      probe(Union(old_win, new_win), [&](uint32_t id, const Box& box) {
+        if (Intersects(box, old_win)) old_ids.push_back(id);
+        if (Intersects(box, new_win)) new_ids.push_back(id);
+      });
+    } else {
+      if (m.had_old) {
+        probe(old_win, [&](uint32_t id, const Box&) { old_ids.push_back(id); });
+      }
+      if (m.has_new) {
+        probe(new_win, [&](uint32_t id, const Box&) { new_ids.push_back(id); });
+      }
     }
     std::sort(old_ids.begin(), old_ids.end());
     std::sort(new_ids.begin(), new_ids.end());
@@ -1129,7 +1166,7 @@ size_t QueryEngine::DeltaProbeLocked(internal::RequestState& state,
       }
     }
   }
-  return deltas;
+  return counts;
 }
 
 // --- Synchronous wrappers ---------------------------------------------------

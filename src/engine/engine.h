@@ -524,11 +524,18 @@ class QueryEngine {
   /// so no batch can interleave with the baseline).
   RequestHandle SubmitContinuous(
       std::shared_ptr<internal::RequestState> state);
+  /// Work of one subscription's delta burst.
+  struct DeltaProbeCounts {
+    size_t deltas = 0;
+    /// Partner-tree traversals: one per moved object whose old and new
+    /// epsilon-windows intersect, otherwise one per window it has.
+    size_t probes = 0;
+  };
   /// Emits one subscription's delta burst for a folded mutation batch.
-  /// Returns the number of deltas emitted. delta_sink_mutex_ held.
-  size_t DeltaProbeLocked(internal::RequestState& state,
-                          DatasetHandle mutated,
-                          std::span<const AppliedMutation> net)
+  /// delta_sink_mutex_ held.
+  DeltaProbeCounts DeltaProbeLocked(internal::RequestState& state,
+                                    DatasetHandle mutated,
+                                    std::span<const AppliedMutation> net)
       REQUIRES(delta_sink_mutex_);
 
   EngineOptions options_;

@@ -503,6 +503,7 @@ uint64_t ShardedQueryEngine::ApplyMutations(DatasetHandle dataset,
   for (const Mutation& m : mutations) {
     switch (m.kind) {
       case MutationKind::kInsert: {
+        if (!IsApplicableBox(m.box)) break;  // mirror DatasetCatalog
         uint32_t gid = m.id;
         if (gid == kInvalidObjectId) {
           gid = entry.next_global++;
@@ -526,7 +527,7 @@ uint64_t ShardedQueryEngine::ApplyMutations(DatasetHandle dataset,
         break;
       }
       case MutationKind::kUpdate: {
-        if (!live(m.id)) break;
+        if (!live(m.id) || !IsApplicableBox(m.box)) break;
         const uint32_t s_old = shard_of[m.id];
         const uint32_t s_new = RouteToShard(entry, m.box);
         ShardedCatalog::Shard& old_shard = entry.shards[s_old];

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "index/str.h"
 #include "util/memory.h"
 
 namespace touch {
@@ -24,6 +25,32 @@ double OverlapWith(const Box& box, std::span<const Box> others, size_t skip) {
   return overlap;
 }
 
+/// Node boundaries for one packed level: the STR bucket boundaries, with
+/// every bucket shorter than `min_fill` folded into the node before it, or,
+/// when the two would exceed `max_fill`, the pair split evenly (both halves
+/// then hold min_fill..max_fill, as max_fill >= 2 * min_fill). The first
+/// bucket needs no fold: STR's first tile fills it whenever there are
+/// several buckets.
+std::vector<uint32_t> NodeBounds(std::span<const uint32_t> bucket_begin,
+                                 uint32_t min_fill, uint32_t max_fill) {
+  std::vector<uint32_t> bounds = {0};
+  for (size_t i = 1; i < bucket_begin.size(); ++i) {
+    const uint32_t end = bucket_begin[i];
+    if (bounds.size() == 1 || end - bounds.back() >= min_fill) {
+      bounds.push_back(end);
+      continue;
+    }
+    const uint32_t prev = bounds[bounds.size() - 2];
+    if (end - prev <= max_fill) {
+      bounds.back() = end;
+    } else {
+      bounds.back() = prev + (end - prev + 1) / 2;
+      bounds.push_back(end);
+    }
+  }
+  return bounds;
+}
+
 }  // namespace
 
 DynamicRTree::DynamicRTree(const Options& options) : options_(options) {
@@ -31,6 +58,52 @@ DynamicRTree::DynamicRTree(const Options& options) : options_(options) {
   options_.min_entries =
       std::clamp<uint32_t>(options_.min_entries, 1, options_.max_entries / 2);
   root_ = AllocNode(0);
+}
+
+void DynamicRTree::BulkLoad(std::span<const Box> boxes) {
+  nodes_.clear();
+  free_nodes_.clear();
+  size_ = boxes.size();
+  if (boxes.empty()) {
+    root_ = AllocNode(0);
+    return;
+  }
+  // Each pass packs the entries of one level (the objects, then the nodes
+  // the previous pass built) into the nodes of the level above them.
+  std::span<const Box> items = boxes;
+  std::vector<Box> item_mbrs;
+  std::vector<uint32_t> item_nodes;
+  for (uint8_t level = 0;; ++level) {
+    const StrPartitioning str = StrPartition(items, options_.max_entries);
+    const std::vector<uint32_t> bounds = NodeBounds(
+        str.bucket_begin, options_.min_entries, options_.max_entries);
+    std::vector<Box> mbrs;
+    std::vector<uint32_t> node_ids;
+    for (size_t k = 0; k + 1 < bounds.size(); ++k) {
+      const uint32_t node_id = AllocNode(level);
+      std::vector<Entry>& entries = nodes_[node_id].entries;
+      entries.reserve(bounds[k + 1] - bounds[k]);
+      for (uint32_t j = bounds[k]; j < bounds[k + 1]; ++j) {
+        const uint32_t i = str.order[j];
+        if (level == 0) {
+          entries.push_back(Entry{items[i], i});
+        } else {
+          entries.push_back(Entry{items[i], item_nodes[i]});
+          nodes_[item_nodes[i]].parent = static_cast<int32_t>(node_id);
+        }
+      }
+      RecomputeMbr(node_id);
+      mbrs.push_back(nodes_[node_id].mbr);
+      node_ids.push_back(node_id);
+    }
+    if (node_ids.size() == 1) {
+      root_ = node_ids.front();
+      return;
+    }
+    item_mbrs = std::move(mbrs);
+    item_nodes = std::move(node_ids);
+    items = item_mbrs;
+  }
 }
 
 uint32_t DynamicRTree::AllocNode(uint8_t level) {

@@ -23,14 +23,15 @@ enum class RTreeVariant {
   kRStar,
 };
 
-/// Insert-built R-tree over 3D boxes.
+/// Dynamic R-tree over 3D boxes: insertion, deletion and range queries.
 ///
-/// The bulk-loaded `RTree` is what the paper's baselines use; this dynamic
-/// tree exists because the paper's related work (R-tree, R*-tree) is defined
-/// by insertion-time behaviour, because the seeded-tree experiments need a
+/// The static `RTree` is what the paper's baselines use; this dynamic tree
+/// exists because the paper's related work (R-tree, R*-tree) is defined by
+/// insertion-time behaviour, because the seeded-tree experiments need a
 /// tree that can grow, and because downstream users of the library may not
-/// know their dataset a priori. Supports insertion, deletion and range
-/// queries; not thread-safe.
+/// know their dataset a priori. A tree over a known starting set can be
+/// STR-packed once (BulkLoad) and then maintained by the same insert and
+/// delete policy. Not thread-safe.
 class DynamicRTree {
  public:
   struct Options {
@@ -46,6 +47,15 @@ class DynamicRTree {
 
   DynamicRTree() : DynamicRTree(Options()) {}
   explicit DynamicRTree(const Options& options);
+
+  /// Replaces the tree's contents with `boxes`, box i under id i, packed
+  /// bottom-up by Sort-Tile-Recursive (the data-oriented layout of paper
+  /// section 5.1): each level is STR-partitioned into nodes of
+  /// `max_entries`, and a bucket shorter than `min_entries` is merged into
+  /// its neighbour, or split evenly with it when the two would overflow, so
+  /// every non-root node satisfies the fill invariants. Insert, Remove and
+  /// Update then maintain the tree under its variant's policy.
+  void BulkLoad(std::span<const Box> boxes);
 
   /// Inserts a box under key `id`. Ids need not be unique or dense; they are
   /// returned verbatim by queries.

@@ -17,9 +17,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <span>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -387,6 +393,274 @@ TEST(ShardedMutationTest, ShardedEqualsUnshardedUnderMutation) {
                               *flat.catalog().snapshot(flat_b), epsilon))
         << "batch " << batch;
   }
+}
+
+// --- delta sequence identity -------------------------------------------------
+
+using Delta = std::tuple<DeltaKind, uint32_t, uint32_t>;
+
+/// Records a subscription's deltas in emission order.
+class RecordingSink : public ResultSink {
+ public:
+  explicit RecordingSink(std::shared_ptr<std::vector<Delta>> out)
+      : out_(std::move(out)) {}
+  void Emit(uint32_t, uint32_t) override {}
+  void EmitDelta(DeltaKind kind, uint32_t a_id, uint32_t b_id) override {
+    out_->emplace_back(kind, a_id, b_id);
+  }
+
+ private:
+  std::shared_ptr<std::vector<Delta>> out_;
+};
+
+/// The delta sequence one batch on `mutated` must produce, computed
+/// without any tree: fold the batch per object (first old box, last new
+/// box, in first-touch order; a net no-op drops out), then for each object
+/// scan the partner for its old and new epsilon-windows separately and
+/// merge-diff the sorted id lists.
+std::vector<Delta> ReferenceDeltas(const DatasetSnapshot& mutated,
+                                   const DatasetSnapshot& partner,
+                                   std::span<const Mutation> batch,
+                                   float epsilon, bool mutated_is_a) {
+  std::map<uint32_t, Box> live;
+  for (size_t slot = 0; slot < mutated.boxes.size(); ++slot) {
+    live.emplace(mutated.id_of(slot), mutated.boxes[slot]);
+  }
+  struct Net {
+    uint32_t id;
+    std::optional<Box> old_box;
+    std::optional<Box> new_box;
+  };
+  std::vector<Net> net;
+  std::map<uint32_t, size_t> index;
+  for (const Mutation& m : batch) {
+    const auto it = live.find(m.id);
+    const std::optional<Box> before =
+        it == live.end() ? std::nullopt : std::optional<Box>(it->second);
+    if ((m.kind == MutationKind::kInsert) == before.has_value()) continue;
+    std::optional<Box> after;
+    if (m.kind == MutationKind::kDelete) {
+      live.erase(m.id);
+    } else {
+      after = m.box;
+      live[m.id] = m.box;
+    }
+    const auto [pos, fresh] = index.emplace(m.id, net.size());
+    if (fresh) {
+      net.push_back(Net{m.id, before, after});
+    } else {
+      net[pos->second].new_box = after;
+    }
+  }
+  const auto window_ids = [&](const std::optional<Box>& box) {
+    std::vector<uint32_t> ids;
+    if (!box) return ids;
+    const Box window = box->Enlarged(epsilon);
+    for (size_t slot = 0; slot < partner.boxes.size(); ++slot) {
+      if (Intersects(partner.boxes[slot], window)) {
+        ids.push_back(partner.id_of(slot));
+      }
+    }
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  std::vector<Delta> out;
+  const auto emit = [&](DeltaKind kind, uint32_t partner_id, uint32_t id) {
+    if (mutated_is_a) {
+      out.emplace_back(kind, id, partner_id);
+    } else {
+      out.emplace_back(kind, partner_id, id);
+    }
+  };
+  for (const Net& n : net) {
+    if (!n.old_box && !n.new_box) continue;
+    const std::vector<uint32_t> old_ids = window_ids(n.old_box);
+    const std::vector<uint32_t> new_ids = window_ids(n.new_box);
+    std::vector<uint32_t> left;
+    std::vector<uint32_t> entered;
+    std::set_difference(old_ids.begin(), old_ids.end(), new_ids.begin(),
+                        new_ids.end(), std::back_inserter(left));
+    std::set_difference(new_ids.begin(), new_ids.end(), old_ids.begin(),
+                        old_ids.end(), std::back_inserter(entered));
+    // Interleave by partner id, as one merge pass over both lists would.
+    size_t l = 0;
+    size_t e = 0;
+    while (l < left.size() || e < entered.size()) {
+      if (e == entered.size() || (l < left.size() && left[l] < entered[e])) {
+        emit(DeltaKind::kRemoved, left[l++], n.id);
+      } else {
+        emit(DeltaKind::kAdded, entered[e++], n.id);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ContinuousJoinTest, DeltaSequenceEqualsTwoWindowReference) {
+  const float epsilon = 4.0f;
+  SyntheticOptions dense;
+  dense.space = 100.0f;
+  Dataset moving =
+      GenerateSynthetic(Distribution::kClustered, 600, 71, dense);
+  Dataset partner =
+      GenerateSynthetic(Distribution::kClustered, 900, 72, dense);
+  // A partner slab spanning two far-apart spots: an object jumping between
+  // them has disjoint windows yet keeps its pair with the slab.
+  const uint32_t slab = static_cast<uint32_t>(partner.size());
+  partner.push_back(MakeBox(10, 10, 10, 90, 11, 11));
+  moving[0] = MakeBox(15, 10, 10, 16, 11, 11);
+
+  QueryEngine engine;
+  const DatasetHandle m = engine.RegisterDataset("moving", moving);
+  const DatasetHandle p = engine.RegisterDataset("partner", partner);
+  // The mutated dataset is the request's A in one subscription and its B
+  // in the other.
+  auto as_a = std::make_shared<std::vector<Delta>>();
+  auto as_b = std::make_shared<std::vector<Delta>>();
+  JoinRequest request_a{m, p, epsilon};
+  request_a.continuous = true;
+  JoinRequest request_b{p, m, epsilon};
+  request_b.continuous = true;
+  RequestHandle handle_a =
+      engine.Submit(request_a, std::make_unique<RecordingSink>(as_a));
+  RequestHandle handle_b =
+      engine.Submit(request_b, std::make_unique<RecordingSink>(as_b));
+
+  Rng rng(73);
+  const uint32_t fresh = static_cast<uint32_t>(moving.size());
+  std::vector<Mutation> batch;
+  for (uint32_t id = 1; id < 200; ++id) {  // small moves: windows overlap
+    const Vec3 d((rng.NextFloat() - 0.5f) * 3, (rng.NextFloat() - 0.5f) * 3,
+                 (rng.NextFloat() - 0.5f) * 3);
+    batch.push_back({MutationKind::kUpdate, id,
+                     Box(moving[id].lo + d, moving[id].hi + d)});
+  }
+  for (uint32_t id = 200; id < 260; ++id) {  // far jumps: disjoint windows
+    batch.push_back({MutationKind::kUpdate, id,
+                     RandomBox(rng, 100.0f, 6.0f)});
+  }
+  batch.push_back({MutationKind::kUpdate, 0,
+                   MakeBox(84, 10, 10, 85, 11, 11)});  // along the slab
+  for (uint32_t id = 260; id < 290; ++id) {
+    batch.push_back({MutationKind::kDelete, id, Box()});
+  }
+  for (uint32_t k = 0; k < 30; ++k) {
+    batch.push_back({MutationKind::kInsert, fresh + k,
+                     RandomBox(rng, 100.0f, 6.0f)});
+  }
+  // Moved twice: one net move from the first old box to the last new one.
+  batch.push_back({MutationKind::kUpdate, 1, MakeBox(50, 50, 50, 53, 53, 53)});
+  // Inserted and deleted again: nets out, no deltas.
+  batch.push_back({MutationKind::kInsert, fresh + 100,
+                   MakeBox(50, 50, 50, 60, 60, 60)});
+  batch.push_back({MutationKind::kDelete, fresh + 100, Box()});
+
+  const DatasetSnapshotPtr before = engine.catalog().snapshot(m);
+  const DatasetSnapshotPtr partner_snap = engine.catalog().snapshot(p);
+  as_a->clear();
+  as_b->clear();
+  engine.ApplyMutations(m, batch);
+
+  const std::vector<Delta> expect_a =
+      ReferenceDeltas(*before, *partner_snap, batch, epsilon, true);
+  ASSERT_GT(expect_a.size(), 100u);
+  EXPECT_EQ(*as_a, expect_a);
+  EXPECT_EQ(*as_b,
+            ReferenceDeltas(*before, *partner_snap, batch, epsilon, false));
+  // The slab pair persisted through the jump: no delta names it.
+  for (const auto& [kind, a_id, b_id] : *as_a) {
+    EXPECT_FALSE(a_id == 0 && b_id == slab);
+  }
+  handle_a.Cancel();
+  handle_b.Cancel();
+}
+
+// --- invalid mutation boxes --------------------------------------------------
+
+TEST(InvalidBoxTest, NaNOrInvertedBoxMutationIsSkipped) {
+  const Dataset initial = GenerateSynthetic(Distribution::kUniform, 1000, 81);
+  QueryEngine engine;
+  const DatasetHandle a = engine.RegisterDataset("A", initial);
+  const DatasetHandle b = engine.RegisterDataset(
+      "B", GenerateSynthetic(Distribution::kUniform, 1000, 82));
+  auto fold = std::make_shared<FoldState>();
+  JoinRequest request{a, b, 30.0f};
+  request.continuous = true;
+  RequestHandle handle =
+      engine.Submit(request, std::make_unique<FoldingSink>(fold));
+  const uint64_t baseline_deltas = fold->deltas;
+
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Box poisoned = initial[7];
+  poisoned.lo.x = nan;
+  poisoned.hi.x = nan;
+  const Box inverted(initial[8].hi, initial[8].lo);
+  const std::vector<Mutation> bad = {
+      {MutationKind::kUpdate, 7, poisoned},
+      {MutationKind::kUpdate, 8, inverted},
+      {MutationKind::kInsert, kInvalidObjectId, poisoned},
+      {MutationKind::kInsert, 5000, inverted},
+  };
+  engine.ApplyMutations(a, bad);
+  EXPECT_EQ(fold->deltas, baseline_deltas) << "an invalid box was probed";
+  const std::optional<Box> kept = engine.catalog().FindObject(a, 7);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(*kept, initial[7]);
+  EXPECT_FALSE(engine.catalog().FindObject(a, 5000).has_value());
+
+  // Moving id 7 back and forth must leave the stats exactly a recompute.
+  engine.ApplyMutations(a, std::vector<Mutation>{
+                               {MutationKind::kUpdate, 7, poisoned},
+                               {MutationKind::kUpdate, 7, initial[7]}});
+  const DatasetSnapshotPtr snap = engine.catalog().snapshot(a);
+  EXPECT_EQ(snap->boxes.size(), initial.size());
+  ExpectStatsBitEqual(snap->stats,
+                      ComputeDatasetStats(snap->boxes,
+                                          snap->stats.histogram_resolution),
+                      "after NaN round trip");
+  // A skipped insert consumes no id: the next assigned id is the
+  // registration count.
+  engine.ApplyMutations(a, std::vector<Mutation>{{MutationKind::kInsert,
+                                                  kInvalidObjectId,
+                                                  initial[0]}});
+  const DatasetSnapshotPtr grown = engine.catalog().snapshot(a);
+  ASSERT_EQ(grown->boxes.size(), initial.size() + 1);
+  EXPECT_EQ(grown->id_of(initial.size()), initial.size());
+  handle.Cancel();
+}
+
+TEST(InvalidBoxTest, ShardedEngineSkipsTheSameMutations) {
+  // The sharded router assigns global ids before the shard catalogs see a
+  // box, so it must skip exactly what DatasetCatalog skips.
+  const Dataset initial = GenerateSynthetic(Distribution::kUniform, 400, 83);
+  EngineOptions options;
+  options.shards = 4;
+  ShardedQueryEngine sharded(options);
+  QueryEngine flat;
+  const DatasetHandle sa = sharded.RegisterDataset("A", initial);
+  const DatasetHandle fa = flat.RegisterDataset("A", initial);
+  const DatasetHandle sb = sharded.RegisterDataset("B", initial);
+  const DatasetHandle fb = flat.RegisterDataset("B", initial);
+
+  Box poisoned = initial[3];
+  poisoned.lo.y = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<Mutation> batch = {
+      {MutationKind::kInsert, kInvalidObjectId, poisoned},
+      {MutationKind::kUpdate, 3, poisoned},
+      {MutationKind::kInsert, kInvalidObjectId, MakeBox(1, 1, 1, 2, 2, 2)},
+      {MutationKind::kUpdate, 4, MakeBox(3, 3, 3, 4, 4, 4)},
+  };
+  sharded.ApplyMutations(sa, batch);
+  flat.ApplyMutations(fa, batch);
+  VectorCollector flat_out;
+  ASSERT_TRUE(flat.Execute(JoinRequest{fa, fb, 2.0f}, flat_out).ok());
+  VectorCollector shard_out;
+  ASSERT_TRUE(
+      sharded.Execute(JoinRequest{sa, sb, 2.0f}, shard_out).merged.ok());
+  EXPECT_EQ(CollectPairs(flat_out.pairs()), CollectPairs(shard_out.pairs()));
+  EXPECT_EQ(CollectPairs(flat_out.pairs()),
+            BruteForcePairs(*flat.catalog().snapshot(fa),
+                            *flat.catalog().snapshot(fb), 2.0f));
 }
 
 // --- versioned index-cache keys (latent-bug regression) ---------------------

@@ -192,6 +192,61 @@ TEST_P(DynamicRTreeFuzzTest, RandomUpdatesMatchReference) {
   }
 }
 
+TEST_P(DynamicRTreeFuzzTest, BulkLoadedStartMatchesReference) {
+  // The catalog's starting state: an STR-packed tree (full nodes, short
+  // STR tails folded) that inserts, removes and updates then maintain.
+  const auto [variant, seed] = GetParam();
+  Rng rng(seed + 2000);
+
+  DynamicRTree::Options options;
+  options.variant = variant;
+  options.max_entries = 2 + static_cast<uint32_t>(rng.UniformInt(15));
+  options.min_entries =
+      1 + static_cast<uint32_t>(rng.UniformInt(options.max_entries / 2));
+  DynamicRTree tree(options);
+
+  std::vector<Entry> live;
+  std::vector<Box> start(50 + rng.UniformInt(500));
+  for (uint32_t i = 0; i < start.size(); ++i) {
+    start[i] = RandomBox(rng, 200.0f, 8.0f);
+    live.push_back(Entry{i, start[i]});
+  }
+  tree.BulkLoad(start);
+  ASSERT_TRUE(tree.CheckInvariants());
+  uint32_t next_id = static_cast<uint32_t>(start.size());
+
+  constexpr int kBatches = 40;
+  constexpr int kOpsPerBatch = 25;
+  for (int batch = 0; batch < kBatches; ++batch) {
+    for (int op = 0; op < kOpsPerBatch; ++op) {
+      const uint64_t dice = rng.UniformInt(10);
+      if (live.empty() || dice < 2) {
+        Entry e{next_id++, RandomBox(rng, 200.0f, 8.0f)};
+        tree.Insert(e.id, e.box);
+        live.push_back(e);
+      } else if (dice < 5) {
+        const size_t victim = rng.UniformInt(live.size());
+        ASSERT_TRUE(tree.Remove(live[victim].id, live[victim].box));
+        live.erase(live.begin() + static_cast<ptrdiff_t>(victim));
+      } else {
+        Entry& e = live[rng.UniformInt(live.size())];
+        const Box moved = dice < 8 ? Box(e.box.lo + Vec3(0.5f, -0.5f, 0.25f),
+                                         e.box.hi + Vec3(0.5f, -0.5f, 0.25f))
+                                   : RandomBox(rng, 200.0f, 8.0f);
+        ASSERT_TRUE(tree.Update(e.id, e.box, moved));
+        e.box = moved;
+      }
+    }
+    ASSERT_EQ(tree.size(), live.size()) << "batch " << batch;
+    ASSERT_TRUE(tree.CheckInvariants()) << "batch " << batch;
+    for (int q = 0; q < 5; ++q) {
+      const Box query = RandomBox(rng, 200.0f, 40.0f);
+      ASSERT_EQ(TreeQuery(tree, query), ReferenceQuery(live, query))
+          << "batch " << batch << " query " << q;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Seeds, DynamicRTreeFuzzTest,
     ::testing::Combine(::testing::Values(RTreeVariant::kGuttman,

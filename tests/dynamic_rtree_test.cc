@@ -162,6 +162,136 @@ TEST_P(DynamicRTreeVariantTest, QueryCountsComparisons) {
   EXPECT_LT(stats.comparisons, boxes.size());
 }
 
+// Sizes around the fanout: empty, a lone leaf, a full root leaf, the first
+// split, a trailing bucket of one, and multi-level trees whose STR tiles
+// end in short buckets.
+constexpr size_t kBulkSizes[] = {0, 1, 15, 16, 17, 6 * 16 + 1, 1000, 4097};
+
+TEST_P(DynamicRTreeVariantTest, BulkLoadMatchesBruteForce) {
+  for (const size_t n : kBulkSizes) {
+    const Dataset boxes = GenerateSynthetic(Distribution::kClustered, n, 51);
+    DynamicRTree tree = MakeTree();
+    tree.BulkLoad(boxes);
+    ASSERT_EQ(tree.size(), n);
+    ASSERT_TRUE(tree.CheckInvariants()) << "n=" << n;
+    if (n > 0) {
+      Box extent = Box::Empty();
+      for (const Box& b : boxes) extent.ExpandToContain(b);
+      EXPECT_EQ(tree.bounds(), extent) << "n=" << n;
+    }
+    const Box everything = MakeBox(-1e6f, -1e6f, -1e6f, 1e6f, 1e6f, 1e6f);
+    EXPECT_EQ(QuerySorted(tree, everything), BruteForce(boxes, everything));
+    Rng rng(52);
+    for (int q = 0; q < 40; ++q) {
+      const Box query = CenteredBox(rng.NextFloat() * 1000.0f,
+                                    rng.NextFloat() * 1000.0f,
+                                    rng.NextFloat() * 1000.0f, 40.0f);
+      ASSERT_EQ(QuerySorted(tree, query), BruteForce(boxes, query))
+          << "n=" << n << " query " << q;
+    }
+  }
+}
+
+TEST_P(DynamicRTreeVariantTest, BulkLoadWithFanoutTwo) {
+  for (const size_t n : kBulkSizes) {
+    const Dataset boxes = GenerateSynthetic(Distribution::kUniform, n, 53);
+    DynamicRTree tree = MakeTree(2, 1);
+    tree.BulkLoad(boxes);
+    ASSERT_TRUE(tree.CheckInvariants()) << "n=" << n;
+    const Box everything = MakeBox(-1e6f, -1e6f, -1e6f, 1e6f, 1e6f, 1e6f);
+    EXPECT_EQ(QuerySorted(tree, everything), BruteForce(boxes, everything));
+  }
+}
+
+TEST_P(DynamicRTreeVariantTest, BulkLoadReplacesContents) {
+  DynamicRTree tree = MakeTree(8, 3);
+  const Dataset first = GenerateSynthetic(Distribution::kUniform, 500, 54);
+  for (uint32_t i = 0; i < first.size(); ++i) tree.Insert(i + 10000, first[i]);
+  const Dataset second = GenerateSynthetic(Distribution::kGaussian, 300, 55);
+  tree.BulkLoad(second);
+  ASSERT_TRUE(tree.CheckInvariants());
+  const Box everything = MakeBox(-1e6f, -1e6f, -1e6f, 1e6f, 1e6f, 1e6f);
+  EXPECT_EQ(QuerySorted(tree, everything), BruteForce(second, everything));
+  tree.BulkLoad({});
+  EXPECT_TRUE(tree.empty());
+  EXPECT_TRUE(tree.CheckInvariants());
+  tree.Insert(3, second[3]);
+  EXPECT_EQ(QuerySorted(tree, everything), (std::vector<uint32_t>{3}));
+}
+
+TEST_P(DynamicRTreeVariantTest, MutationsAfterBulkLoadStayInvariant) {
+  for (const uint32_t max_entries : {2u, 8u, 16u}) {
+    const uint32_t min_entries = max_entries == 16 ? 6 : max_entries / 2;
+    const Dataset start = GenerateSynthetic(Distribution::kClustered, 1000, 56);
+    DynamicRTree tree = MakeTree(max_entries, min_entries);
+    tree.BulkLoad(start);
+    // The reference: live id -> box (ids past the start set are inserts).
+    std::vector<std::pair<uint32_t, Box>> live;
+    for (uint32_t i = 0; i < start.size(); ++i) live.emplace_back(i, start[i]);
+    uint32_t next_id = static_cast<uint32_t>(start.size());
+    Rng rng(57 + max_entries);
+    for (int op = 0; op < 1500; ++op) {
+      const uint64_t dice = rng.UniformInt(10);
+      if (live.empty() || dice < 3) {
+        const Box box = CenteredBox(rng.NextFloat() * 1000.0f,
+                                    rng.NextFloat() * 1000.0f,
+                                    rng.NextFloat() * 1000.0f, 3.0f);
+        tree.Insert(next_id, box);
+        live.emplace_back(next_id++, box);
+      } else if (dice < 6) {
+        const size_t victim = rng.UniformInt(live.size());
+        ASSERT_TRUE(tree.Remove(live[victim].first, live[victim].second));
+        live[victim] = live.back();
+        live.pop_back();
+      } else {
+        auto& [id, box] = live[rng.UniformInt(live.size())];
+        const float d = dice < 9 ? 1.0f : 300.0f;  // nudge or far jump
+        const Vec3 shift((rng.NextFloat() - 0.5f) * d,
+                         (rng.NextFloat() - 0.5f) * d,
+                         (rng.NextFloat() - 0.5f) * d);
+        const Box moved(box.lo + shift, box.hi + shift);
+        ASSERT_TRUE(tree.Update(id, box, moved));
+        box = moved;
+      }
+      if (op % 100 == 0) {
+        ASSERT_TRUE(tree.CheckInvariants())
+            << "M=" << max_entries << " op " << op;
+      }
+    }
+    ASSERT_TRUE(tree.CheckInvariants()) << "M=" << max_entries;
+    ASSERT_EQ(tree.size(), live.size());
+    std::vector<uint32_t> expected;
+    const Box query = CenteredBox(500, 500, 500, 200.0f);
+    for (const auto& [id, box] : live) {
+      if (Intersects(box, query)) expected.push_back(id);
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(QuerySorted(tree, query), expected) << "M=" << max_entries;
+  }
+}
+
+TEST(DynamicRTreeBulkLoadTest, PackedTreeProbesLessThanInsertionBuilt) {
+  // STR's tight leaves (paper section 5.1) are the point of packing: the
+  // same queries must test fewer nodes and objects than on a tree built by
+  // one-at-a-time inserts, and the packed nodes hold no spare capacity.
+  const Dataset boxes = GenerateSynthetic(Distribution::kGaussian, 20000, 58);
+  DynamicRTree inserted(MakeOptions(RTreeVariant::kGuttman, 16, 6));
+  for (uint32_t i = 0; i < boxes.size(); ++i) inserted.Insert(i, boxes[i]);
+  DynamicRTree packed(MakeOptions(RTreeVariant::kGuttman, 16, 6));
+  packed.BulkLoad(boxes);
+  JoinStats inserted_stats;
+  JoinStats packed_stats;
+  Rng rng(59);
+  for (int q = 0; q < 200; ++q) {
+    const Box query = boxes[rng.UniformInt(boxes.size())].Enlarged(5.0f);
+    inserted.Query(query, [](uint32_t, const Box&) {}, &inserted_stats);
+    packed.Query(query, [](uint32_t, const Box&) {}, &packed_stats);
+  }
+  EXPECT_LT(packed_stats.node_comparisons, inserted_stats.node_comparisons);
+  EXPECT_LT(packed_stats.comparisons, inserted_stats.comparisons);
+  EXPECT_LT(packed.MemoryUsageBytes(), inserted.MemoryUsageBytes());
+}
+
 INSTANTIATE_TEST_SUITE_P(Variants, DynamicRTreeVariantTest,
                          ::testing::Values(RTreeVariant::kGuttman,
                                            RTreeVariant::kRStar),

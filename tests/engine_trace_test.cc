@@ -144,6 +144,60 @@ TEST_F(EngineTraceTest, TouchPhasesReportTheirHelpers) {
   }
 }
 
+// A standing join's delta-probe span counts its partner-tree traversals:
+// one for a short move (old and new windows overlap, their union is probed
+// once), two for a far jump, one each for an insert and a delete. The
+// subscription gauge and the probe-latency histogram follow along.
+TEST_F(EngineTraceTest, DeltaProbeSpansCountTheirTreeTraversals) {
+  QueryEngine engine(TracedOptions());
+  const DatasetHandle a = engine.RegisterDataset("small", small_);
+  const DatasetHandle b = engine.RegisterDataset("large", large_);
+  Gauge& subscriptions = metrics_->gauge("touch_subscriptions");
+  EXPECT_EQ(subscriptions.Value(), 0.0);
+  JoinRequest request{a, b, 2.0f};
+  request.continuous = true;
+  RequestHandle handle =
+      engine.Submit(request, std::make_unique<ResultSink>());
+  EXPECT_EQ(subscriptions.Value(), 1.0);
+
+  const Box near = *engine.catalog().FindObject(a, 0);
+  const Box far = *engine.catalog().FindObject(a, 1);
+  const Vec3 nudge(0.5f, 0, 0);
+  const Vec3 jump(500.0f, 0, 0);
+  const std::vector<Mutation> batch = {
+      {MutationKind::kUpdate, 0, Box(near.lo + nudge, near.hi + nudge)},
+      {MutationKind::kUpdate, 1, Box(far.lo + jump, far.hi + jump)},
+      {MutationKind::kInsert, kInvalidObjectId, MakeBox(1, 1, 1, 2, 2, 2)},
+      {MutationKind::kDelete, 2, Box()},
+  };
+  engine.ApplyMutations(a, batch);
+
+  const TraceView view(*tracer_);
+  const SpanRecord* probe = view.Find("delta-probe");
+  ASSERT_NE(probe, nullptr);
+  const auto attr = [&](const std::string& key) -> std::string {
+    for (const SpanAttr& kv : probe->attrs) {
+      if (kv.first == key) return kv.second;
+    }
+    return "";
+  };
+  EXPECT_EQ(attr("probes"), "5");
+  EXPECT_FALSE(attr("deltas").empty());
+  EXPECT_EQ(metrics_->histogram("touch_delta_probe_seconds").Count(), 1u);
+
+  handle.Cancel();
+  EXPECT_EQ(subscriptions.Value(), 0.0);
+  // A standing join cancelled before any batch leaves the gauge balanced
+  // too, and a later batch (with no subscriber) observes no probe.
+  RequestHandle second =
+      engine.Submit(request, std::make_unique<ResultSink>());
+  EXPECT_EQ(subscriptions.Value(), 1.0);
+  second.Cancel();
+  EXPECT_EQ(subscriptions.Value(), 0.0);
+  engine.ApplyMutations(a, std::vector<Mutation>{batch[0]});
+  EXPECT_EQ(metrics_->histogram("touch_delta_probe_seconds").Count(), 1u);
+}
+
 TEST_F(EngineTraceTest, PhaseObserverStillFiresAlongsideTheTracer) {
   // EngineOptions::phase_observer is now an adapter over the same phase
   // transitions the tracer records; both must see every transition.
