@@ -1,8 +1,10 @@
 // Ablation: the section-4.3 build-skip — how much of TOUCH's total time the
-// tree-building phase costs, and what reusing a prebuilt (converted) index
-// saves when the same dataset A is joined repeatedly against fresh B
-// batches. Reported per join-against-one-batch; `build_ms` is the phase the
-// prebuilt path eliminates.
+// tree-building phase costs, and what reusing a prebuilt index saves when
+// the same dataset A is joined repeatedly against fresh B batches. Reported
+// per join-against-one-batch; `build_ms` is the phase the prebuilt path
+// eliminates. The prebuilt RTree is the TOUCH tree as is, so `convert_ms`
+// (the conversion step the paper allows for) is zero; `index_ms` is the
+// one-off build of that index, paid by the wider system.
 
 #include <string>
 
@@ -49,7 +51,7 @@ void RegisterAll() {
       ->Iterations(1);
 
   benchmark::RegisterBenchmark(
-      "ablation_prebuilt/convert_once_join_many",
+      "ablation_prebuilt/prebuilt_once_join_many",
       [=](benchmark::State& state) {
         const Dataset& a =
             CachedDataset(Distribution::kGaussian, size_a, 61, opt);
@@ -57,22 +59,22 @@ void RegisterAll() {
         for (Box& box : enlarged) box = box.Enlarged(kEpsilon);
         TouchJoin join;
         JoinStats last;
-        double convert_seconds = 0;
+        double index_seconds = 0;
         for (auto _ : state) {
-          Timer convert;
+          Timer index_timer;
           // The pre-existing index (already paid for by the wider system);
-          // converting it replaces all four per-batch builds.
+          // it replaces all four per-batch builds with no conversion.
           const RTree index(enlarged, 128, 2);
-          const TouchTree tree = TouchTree::FromRTree(index);
-          convert_seconds += convert.Seconds();
+          index_seconds += index_timer.Seconds();
           for (int batch = 0; batch < kBatches; ++batch) {
             const Dataset& b = CachedDataset(Distribution::kGaussian, size_b,
                                              62 + batch, opt);
             CountingCollector out;
-            last = join.JoinWithPrebuiltTree(tree, enlarged, b, out);
+            last = join.JoinWithPrebuiltTree(index, enlarged, b, out);
           }
         }
-        state.counters["convert_ms"] = convert_seconds * 1e3;
+        state.counters["index_ms"] = index_seconds * 1e3;
+        state.counters["convert_ms"] = 0;
         state.counters["results"] = static_cast<double>(last.results);
       })
       ->Unit(benchmark::kMillisecond)

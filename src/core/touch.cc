@@ -176,7 +176,7 @@ JoinStats TouchJoin::Join(std::span<const Box> a, std::span<const Box> b,
   return JoinOriented(b, a, /*swapped=*/true, out);
 }
 
-JoinStats TouchJoin::JoinWithPrebuiltTree(const TouchTree& tree,
+JoinStats TouchJoin::JoinWithPrebuiltTree(const RTree& tree,
                                           std::span<const Box> a,
                                           std::span<const Box> b,
                                           ResultCollector& out,
@@ -190,7 +190,7 @@ JoinStats TouchJoin::JoinWithPrebuiltTree(const TouchTree& tree,
 JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
                                   std::span<const Box> probe, bool swapped,
                                   ResultCollector& out,
-                                  const TouchTree* prebuilt,
+                                  const RTree* prebuilt,
                                   float probe_epsilon,
                                   CancellationToken cancel,
                                   WorkerPool* pool) {
@@ -233,18 +233,19 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   };
 
   // ---- Phase 1: tree building (Algorithm 2) — skipped when the caller
-  // supplies a prebuilt/converted tree (paper section 4.3). ----
+  // supplies a prebuilt tree (paper section 4.3). ----
   Timer phase;
-  std::optional<TouchTree> owned_tree;
+  std::optional<RTree> owned_tree;
   if (prebuilt == nullptr) {
     size_t leaf_capacity = options_.leaf_capacity;
     if (leaf_capacity == 0) {
       const size_t partitions = std::max<size_t>(1, options_.partitions);
       leaf_capacity = (build.size() + partitions - 1) / partitions;
     }
-    owned_tree.emplace(build, leaf_capacity, options_.fanout, pool);
+    owned_tree.emplace(build, leaf_capacity, options_.fanout,
+                       BulkLoadMethod::kStr, pool);
   }
-  const TouchTree& tree = prebuilt != nullptr ? *prebuilt : *owned_tree;
+  const RTree& tree = prebuilt != nullptr ? *prebuilt : *owned_tree;
   stats.build_seconds = prebuilt != nullptr ? 0.0 : phase.Seconds();
 
   // ---- Phase 2: assignment of the probe dataset (Algorithm 3). ----
@@ -253,11 +254,11 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   // is open on this thread, no-op otherwise (library callers untouched).
   SpanScope assign_span("touch-assign");
   std::vector<std::vector<uint32_t>> entities(tree.nodes().size());
-  const std::span<const TouchTree::Node> nodes = tree.nodes();
+  const std::span<const RTree::Node> nodes = tree.nodes();
   const std::span<const uint32_t> child_ids = tree.child_ids();
   // SoA slab over every node's child MBRs, in child_ids order, so each
   // descent step classifies a node's whole child range with the batched
-  // overlap kernel (one node.children_begin/count range per node). Built
+  // overlap kernel (one node.begin/count range per node). Built
   // once per join, shared read-only with the local-join phase below.
   BoxSlab child_mbr_slab;
   child_mbr_slab.AssignGenerated(
@@ -278,11 +279,10 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
       // Count children whose MBR overlaps the object; stop at the second
       // (ClassifyOverlaps keeps the scalar loop's early exit and examined
       // count, so node_comparisons stays the paper's metric).
-      const TouchTree::Node& node = nodes[current];
+      const RTree::Node& node = nodes[current];
       size_t first = 0;
       const int hits = ClassifyOverlaps(
-          child_mbr_slab, node.children_begin,
-          node.children_begin + node.children_count, box, &first,
+          child_mbr_slab, node.begin, node.begin + node.count, box, &first,
           &stats.node_comparisons);
       if (hits >= 2) {
         // Overlaps several children: assign to their parent (this node).
@@ -347,20 +347,24 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   // vastly fewer entities than descendant items (a handful of objects
   // descending a big subtree prunes most of it; a grid would make every
   // item probe cells for nothing). A grid node with many items is split:
-  // scattered once, then probed in fixed-size item chunks.
+  // scattered once, then probed in fixed-size item chunks. Each node's
+  // descendant item range is resolved here, once.
   enum class NodeJoin : uint8_t { kDescent, kGrid, kSplitGrid, kAblation };
   struct NodeWork {
     uint32_t node;
     NodeJoin how;
     int res[3];  // grid resolution (kGrid, kSplitGrid)
+    RTree::ItemSpan items;
   };
   std::vector<NodeWork> work;
   std::vector<uint64_t> grid_cells;  // per grid node, in node order
   for (uint32_t node_id = 0; node_id < nodes.size(); ++node_id) {
     const size_t entity_count = entities[node_id].size();
-    const size_t item_count = nodes[node_id].ItemCount();
-    if (entity_count == 0 || item_count == 0) continue;
-    NodeWork w{node_id, NodeJoin::kAblation, {1, 1, 1}};
+    if (entity_count == 0) continue;
+    const RTree::ItemSpan items = tree.ItemRange(node_id);
+    const size_t item_count = items.size();
+    if (item_count == 0) continue;
+    NodeWork w{node_id, NodeJoin::kAblation, {1, 1, 1}, items};
     if (options_.local_join == LocalJoinStrategy::kGrid) {
       const bool grid_pays = entity_count >= options_.grid_min_entities &&
                              entity_count * 16 >= item_count;
@@ -389,22 +393,22 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
     ctx.descent_stack.clear();
     ctx.descent_stack.push_back(start_node);
     while (!ctx.descent_stack.empty()) {
-      const TouchTree::Node& current = nodes[ctx.descent_stack.back()];
+      const RTree::Node& current = nodes[ctx.descent_stack.back()];
       ctx.descent_stack.pop_back();
       ctx.hits.clear();
       if (current.IsLeaf()) {
         ctx.stats.comparisons +=
-            CollectOverlaps(item_slab, current.item_begin, current.item_end,
-                            probe_box, ctx.hits);
+            CollectOverlaps(item_slab, current.begin,
+                            current.begin + current.count, probe_box,
+                            ctx.hits);
         for (const uint32_t pos : ctx.hits) emit(item_ids[pos], probe_id);
         continue;
       }
       // Matching children push in ascending order, as the scalar loop
       // did — this stack visits them last-pushed-first either way.
-      ctx.stats.node_comparisons += CollectOverlaps(
-          child_mbr_slab, current.children_begin,
-          current.children_begin + current.children_count, probe_box,
-          ctx.hits);
+      ctx.stats.node_comparisons +=
+          CollectOverlaps(child_mbr_slab, current.begin,
+                          current.begin + current.count, probe_box, ctx.hits);
       for (const uint32_t pos : ctx.hits) {
         ctx.descent_stack.push_back(child_ids[pos]);
       }
@@ -439,9 +443,8 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   const auto probe_grid = [&](const NodeWork& w, const ReusableGrid& cells,
                               size_t item_lo, size_t item_hi,
                               WorkerContext& ctx, auto&& emit) {
-    const TouchTree::Node& node = nodes[w.node];
-    const auto items = item_ids.subspan(node.item_begin, node.ItemCount());
-    const GridMapper grid(node.mbr, w.res[0], w.res[1], w.res[2]);
+    const auto items = item_ids.subspan(w.items.begin, w.items.size());
+    const GridMapper grid(nodes[w.node].mbr, w.res[0], w.res[1], w.res[2]);
     const uint64_t stride_y = static_cast<uint64_t>(w.res[2]);
     const uint64_t stride_x = stride_y * static_cast<uint64_t>(w.res[1]);
     for (size_t item_index = item_lo; item_index < item_hi; ++item_index) {
@@ -481,7 +484,6 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   const auto join_node = [&](const NodeWork& w, WorkerContext& ctx,
                              auto&& emit) {
     const std::vector<uint32_t>& node_entities = entities[w.node];
-    const TouchTree::Node& node = nodes[w.node];
     switch (w.how) {
       case NodeJoin::kDescent:
         for (size_t i = 0; i < node_entities.size(); ++i) {
@@ -492,12 +494,12 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
       case NodeJoin::kGrid:
       case NodeJoin::kSplitGrid:
         scatter(w, ctx.cells);
-        probe_grid(w, ctx.cells, 0, node.ItemCount(), ctx, emit);
+        probe_grid(w, ctx.cells, 0, w.items.size(), ctx, emit);
         return;
       case NodeJoin::kAblation:
         break;
     }
-    const auto items = item_ids.subspan(node.item_begin, node.ItemCount());
+    const auto items = item_ids.subspan(w.items.begin, w.items.size());
     if (options_.local_join == LocalJoinStrategy::kNestedLoop) {
       LocalNestedLoop(build, items, probe, node_entities, &ctx.stats, emit);
     } else {
@@ -568,7 +570,7 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
       const NodeWork& w = work[i];
       ReusableGrid& cells = contexts[0].cells;
       scatter(w, cells);
-      const size_t item_count = nodes[w.node].ItemCount();
+      const size_t item_count = w.items.size();
       run_units((item_count + kChunkItems - 1) / kChunkItems,
                 [&](size_t chunk, WorkerContext& ctx, auto&& emit) {
                   probe_grid(w, cells, chunk * kChunkItems,

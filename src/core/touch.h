@@ -1,7 +1,7 @@
 #ifndef TOUCH_CORE_TOUCH_H_
 #define TOUCH_CORE_TOUCH_H_
 
-#include "core/touch_tree.h"
+#include "index/rtree.h"
 #include "join/algorithm.h"
 #include "join/local_join.h"
 #include "util/cancellation.h"
@@ -63,7 +63,7 @@ struct TouchOptions {
 /// TOUCH: in-memory spatial join by hierarchical data-oriented partitioning
 /// (the paper's contribution, section 4).
 ///
-/// Three phases: (1) bulk-load a TouchTree over the build dataset with STR;
+/// Three phases: (1) bulk-load an RTree over the build dataset with STR;
 /// (2) assign every probe object to the lowest tree node whose MBR covers it
 /// without overlapping a sibling — objects overlapping nothing are *filtered*
 /// out entirely; (3) join each node's assigned probe objects against the A
@@ -80,10 +80,11 @@ class TouchJoin : public SpatialJoinAlgorithm {
                  ResultCollector& out) override;
 
   /// Runs phases 2 and 3 against a tree that is already built over dataset
-  /// `a` (constructed directly or converted with TouchTree::FromRTree) —
-  /// the paper's section-4.3 shortcut for pre-indexed datasets. The tree's
-  /// item ids must index into `a`. Join order is not swapped; build time is
-  /// whatever the caller already paid.
+  /// `a` — the paper's section-4.3 shortcut for pre-indexed datasets. Any
+  /// RTree serves as is, whether STR-, Hilbert- or TGS-packed or flattened
+  /// from an insertion-built DynamicRTree: its DFS item order is all TOUCH
+  /// needs. The tree's item ids must index into `a`. Join order is not
+  /// swapped; build time is whatever the caller already paid.
   ///
   /// `probe_epsilon` enlarges every box of `b` on the fly (assignment and
   /// local join read b[i].Enlarged(probe_epsilon)), equivalent to passing a
@@ -101,7 +102,7 @@ class TouchJoin : public SpatialJoinAlgorithm {
   ///
   /// `pool` lends its idle workers to the local join (see
   /// TouchOptions::threads); null falls back to `threads`.
-  JoinStats JoinWithPrebuiltTree(const TouchTree& tree,
+  JoinStats JoinWithPrebuiltTree(const RTree& tree,
                                  std::span<const Box> a,
                                  std::span<const Box> b, ResultCollector& out,
                                  float probe_epsilon = 0.0f,
@@ -119,7 +120,7 @@ class TouchJoin : public SpatialJoinAlgorithm {
   JoinStats JoinOriented(std::span<const Box> build,
                          std::span<const Box> probe, bool swapped,
                          ResultCollector& out,
-                         const TouchTree* prebuilt = nullptr,
+                         const RTree* prebuilt = nullptr,
                          float probe_epsilon = 0.0f,
                          CancellationToken cancel = {},
                          WorkerPool* pool = nullptr);

@@ -386,10 +386,6 @@ bool DeserializeDatasetStats(std::span<const uint8_t> bytes,
   return true;
 }
 
-bool IsApplicableBox(const Box& box) {
-  return box.lo.x <= box.hi.x && box.lo.y <= box.hi.y && box.lo.z <= box.hi.z;
-}
-
 DatasetHandle DatasetCatalog::Register(std::string name, Dataset boxes) {
   DatasetStats stats = ComputeDatasetStats(boxes);
   return Register(std::move(name), std::move(boxes), std::move(stats));

@@ -116,12 +116,6 @@ struct Mutation {
   Box box;
 };
 
-/// True when an insert's or update's box may enter a dataset: lo <= hi on
-/// every axis, which also rejects any NaN coordinate (every comparison with
-/// NaN is false). A mutation carrying any other box is inapplicable, so
-/// stats sums, histograms and trees never see a NaN or inverted box.
-bool IsApplicableBox(const Box& box);
-
 /// Effect of one applied mutation, reported so the engine's delta-probe can
 /// diff an object's old and new epsilon-windows without rescanning geometry.
 /// Mutations that do not apply (delete/update of an unknown id, insert of a

@@ -210,16 +210,16 @@ std::vector<ArtifactNeed> TouchNeeds(const FamilyInput& in) {
 
 IndexCache::ArtifactPtr BuildTouchTree(const FamilyInput& in,
                                        const ArtifactNeed& need) {
-  return BuildCached<TouchTree>(need, [&](std::span<const Box> boxes) {
-    return TouchTree(boxes, need.key.shape_a, need.key.shape_b, &in.pool,
-                     &in.build_helpers);
+  return BuildCached<RTree>(need, [&](std::span<const Box> boxes) {
+    return RTree(boxes, need.key.shape_a, need.key.shape_b,
+                 BulkLoadMethod::kStr, &in.pool, &in.build_helpers);
   });
 }
 
 JoinStats ProbeTouchTree(const FamilyInput& in,
                          std::span<const IndexCache::ArtifactPtr> artifacts,
                          ResultCollector& out, CancellationToken cancel) {
-  const Cached<TouchTree>& entry = As<TouchTree>(artifacts[0]);
+  const Cached<RTree>& entry = As<RTree>(artifacts[0]);
   TouchJoin join(in.plan.touch);
   if (in.plan.build_on_a) {
     return join.JoinWithPrebuiltTree(entry.structure, entry.Boxes(in.a.boxes),

@@ -19,12 +19,15 @@ namespace touch {
 class MetricsRegistry;
 
 /// What kind of build artifact a cache entry holds. Distinct kinds never
-/// share entries even when every other key field agrees: a TOUCH tree and an
-/// INL R-tree over the same dataset are different structures.
+/// share entries even when every other key field agrees: the TOUCH tree and
+/// the INL index over the same dataset are both STR-packed RTrees, but of
+/// different shapes (TOUCH's leaf capacity follows its partition count), and
+/// the INL index carries its probe slabs too.
 enum class ArtifactKind : uint8_t {
-  /// A TouchTree (the paper's data-oriented partitioning hierarchy).
+  /// An RTree serving as TOUCH's data-oriented partitioning hierarchy.
   kTouchTree = 0,
-  /// A bulk-loaded STR R-tree for the indexed-nested-loop join.
+  /// A bulk-loaded STR RTree plus probe slabs for the indexed-nested-loop
+  /// join.
   kInlRTree = 1,
   /// A PBSM cell directory: one dataset's sorted cell-placement list.
   kPbsmDirectory = 2,

@@ -87,6 +87,15 @@ inline bool Intersects(const Box& a, const Box& b) {
          a.lo.z <= b.hi.z && b.lo.z <= a.hi.z;
 }
 
+/// True when a box may enter a dataset: lo <= hi on every axis, which also
+/// rejects any NaN coordinate (every comparison with NaN is false). The
+/// dataset readers and the catalog's mutation path turn every other box
+/// away, so stats sums, histograms and trees never see a NaN or inverted
+/// box (an STR center sort over NaN has no strict weak order).
+inline bool IsApplicableBox(const Box& box) {
+  return box.lo.x <= box.hi.x && box.lo.y <= box.hi.y && box.lo.z <= box.hi.z;
+}
+
 /// True when `outer` fully contains `inner` (closed containment).
 inline bool Contains(const Box& outer, const Box& inner) {
   return outer.lo.x <= inner.lo.x && inner.hi.x <= outer.hi.x &&

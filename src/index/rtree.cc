@@ -11,7 +11,8 @@ namespace touch {
 namespace {
 
 StrPartitioning Pack(std::span<const Box> boxes, size_t bucket_size,
-                     BulkLoadMethod method) {
+                     BulkLoadMethod method, WorkerPool* pool,
+                     HelperSet* helpers) {
   switch (method) {
     case BulkLoadMethod::kHilbert:
       return HilbertPartition(boxes, bucket_size);
@@ -20,20 +21,21 @@ StrPartitioning Pack(std::span<const Box> boxes, size_t bucket_size,
     case BulkLoadMethod::kStr:
       break;
   }
-  return StrPartition(boxes, bucket_size);
+  return StrPartition(boxes, bucket_size, pool, helpers);
 }
 
 }  // namespace
 
 RTree::RTree(std::span<const Box> boxes, size_t leaf_capacity, size_t fanout,
-             BulkLoadMethod method) {
+             BulkLoadMethod method, WorkerPool* pool, HelperSet* helpers) {
   leaf_capacity = std::max<size_t>(1, leaf_capacity);
-  fanout = std::max<size_t>(1, fanout);
+  fanout = std::max<size_t>(2, fanout);
   if (boxes.empty()) return;
 
-  // Level 0: pack objects into leaves.
-  const StrPartitioning leaves = Pack(boxes, leaf_capacity, method);
-  item_ids_ = leaves.order;
+  // Level 0: pack objects into leaves. A leaf's begin indexes leaves.order
+  // until the DFS pass below moves its items into item_ids_.
+  const StrPartitioning leaves =
+      Pack(boxes, leaf_capacity, method, pool, helpers);
   std::vector<uint32_t> current_level;  // node ids of the level being built
   current_level.reserve(leaves.NumBuckets());
   for (size_t b = 0; b < leaves.NumBuckets(); ++b) {
@@ -54,7 +56,8 @@ RTree::RTree(std::span<const Box> boxes, size_t leaf_capacity, size_t fanout,
     level_mbrs.reserve(current_level.size());
     for (uint32_t id : current_level) level_mbrs.push_back(nodes_[id].mbr);
 
-    const StrPartitioning packed = Pack(level_mbrs, fanout, method);
+    const StrPartitioning packed =
+        Pack(level_mbrs, fanout, method, pool, helpers);
     std::vector<uint32_t> next_level;
     next_level.reserve(packed.NumBuckets());
     for (size_t b = 0; b < packed.NumBuckets(); ++b) {
@@ -75,6 +78,35 @@ RTree::RTree(std::span<const Box> boxes, size_t leaf_capacity, size_t fanout,
     ++height_;
   }
   root_ = current_level.front();
+
+  // Emit the leaves' items in DFS order (children in child_ids order, items
+  // within a leaf in packing order), so every node's descendant items are
+  // one contiguous range of item_ids_.
+  item_ids_.reserve(leaves.order.size());
+  std::vector<uint32_t> stack = {root_};
+  while (!stack.empty()) {
+    Node& node = nodes_[stack.back()];
+    stack.pop_back();
+    if (node.IsLeaf()) {
+      const auto first = leaves.order.begin() + node.begin;
+      node.begin = static_cast<uint32_t>(item_ids_.size());
+      item_ids_.insert(item_ids_.end(), first, first + node.count);
+      continue;
+    }
+    for (uint32_t i = node.begin + node.count; i-- > node.begin;) {
+      stack.push_back(child_ids_[i]);
+    }
+  }
+}
+
+RTree::ItemSpan RTree::ItemRange(uint32_t node_id) const {
+  uint32_t first = node_id;
+  while (!nodes_[first].IsLeaf()) first = child_ids_[nodes_[first].begin];
+  uint32_t last = node_id;
+  while (!nodes_[last].IsLeaf()) {
+    last = child_ids_[nodes_[last].begin + nodes_[last].count - 1];
+  }
+  return {nodes_[first].begin, nodes_[last].begin + nodes_[last].count};
 }
 
 RTree RTree::FromDynamic(const DynamicRTree& tree) {
@@ -84,6 +116,7 @@ RTree RTree::FromDynamic(const DynamicRTree& tree) {
 
   // Preorder DFS through the dynamic tree's visitor; parents pre-reserve a
   // contiguous child range and fill it slot by slot as children are entered.
+  // Items are appended in visit order, which is the class's DFS invariant.
   std::vector<uint32_t> node_stack;  // flat ids of the current DFS path
   std::vector<uint32_t> next_slot;   // next child slot to fill, per level
   tree.VisitNodes(

@@ -21,17 +21,26 @@ enum class BulkLoadMethod {
   kTgs,
 };
 
-/// Bulk-loaded, read-only R-tree over a dataset of boxes.
+/// Bulk-loaded, read-only R-tree over a dataset of boxes: the library's one
+/// static tree.
 ///
-/// This is the index behind the paper's two "one/both datasets indexed"
-/// baselines: the indexed nested loop join queries one such tree per probe
-/// object, and the synchronous-traversal join (Brinkhoff et al., SIGMOD'93)
-/// walks two of them in lockstep. Bulk loading uses STR at every level, which
-/// the paper singles out as the best-performing R-tree construction for
-/// non-extreme data.
+/// It is the index behind the paper's two "one/both datasets indexed"
+/// baselines (the indexed nested loop join queries one such tree per probe
+/// object, and the synchronous-traversal join of Brinkhoff et al., SIGMOD'93,
+/// walks two of them in lockstep) and it is TOUCH's data-oriented
+/// partitioning tree (paper sections 4.3 and 5, Figure 5). Bulk loading uses
+/// STR at every level, which the paper singles out as the best-performing
+/// R-tree construction for non-extreme data.
 ///
 /// Nodes live in one arena vector; children id lists live in a second flat
 /// vector, so the tree is cache-friendly and its memory footprint is exact.
+///
+/// Invariant: item_ids() is in DFS leaf order, so the descendant items of
+/// every node form one contiguous range (ItemRange). Any tree this class
+/// holds, bulk-loaded or flattened from an insertion-built DynamicRTree, can
+/// therefore serve as the TOUCH tree with no conversion step — the paper's
+/// section 4.3: an existing data-oriented hierarchical index "can easily be
+/// converted to the tree needed for TOUCH".
 class RTree {
  public:
   struct Node {
@@ -45,11 +54,23 @@ class RTree {
     bool IsLeaf() const { return level == 0; }
   };
 
-  /// Builds the tree. `leaf_capacity` objects per leaf, `fanout` children per
-  /// inner node (both >= 1; a fanout of 2 with 2KB nodes is the paper's best
-  /// configuration for the R-tree baselines).
+  /// A node's descendant items: [begin, end) in item_ids().
+  struct ItemSpan {
+    uint32_t begin = 0;
+    uint32_t end = 0;
+
+    uint32_t size() const { return end - begin; }
+  };
+
+  /// Builds the tree. `leaf_capacity` (>= 1) objects per leaf, `fanout`
+  /// children per inner node, clamped to >= 2 so every upper level shrinks
+  /// (a fanout of 2 with 2KB nodes is the paper's best configuration for the
+  /// R-tree baselines, and TOUCH's default). With a `pool`, the STR slab
+  /// sorts borrow its idle workers (recorded in `helpers`); the tree is
+  /// identical either way. Hilbert and TGS packing ignore the pool.
   RTree(std::span<const Box> boxes, size_t leaf_capacity, size_t fanout,
-        BulkLoadMethod method = BulkLoadMethod::kStr);
+        BulkLoadMethod method = BulkLoadMethod::kStr,
+        WorkerPool* pool = nullptr, HelperSet* helpers = nullptr);
 
   /// Flattens an insertion-built DynamicRTree into the read-only arena
   /// layout, so the synchronous-traversal join can run over trees built the
@@ -66,7 +87,12 @@ class RTree {
   uint32_t root() const { return root_; }
   std::span<const Node> nodes() const { return nodes_; }
   std::span<const uint32_t> child_ids() const { return child_ids_; }
+  /// Object ids in DFS leaf order (see the class invariant).
   std::span<const uint32_t> item_ids() const { return item_ids_; }
+
+  /// The descendant items of `node_id`, found by walking to its leftmost and
+  /// rightmost leaves: O(height).
+  ItemSpan ItemRange(uint32_t node_id) const;
 
   /// Height: number of levels (1 for a single-leaf tree, 0 when empty).
   int height() const { return height_; }

@@ -1,5 +1,6 @@
 #include "io/dataset_io.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -11,6 +12,7 @@ namespace {
 constexpr char kBoxMagic[4] = {'T', 'S', 'J', 'B'};
 constexpr char kNeuroMagic[4] = {'T', 'S', 'J', 'C'};
 constexpr uint32_t kFormatVersion = 1;
+constexpr char kRejectedBox[] = "NaN coordinate or lo > hi on some axis";
 
 /// RAII wrapper over std::FILE.
 struct FileCloser {
@@ -116,7 +118,12 @@ IoStatus ReadBoxesBinary(const std::string& path, std::vector<Box>* boxes) {
   if (FitsInRest(count, sizeof(Box), &unread)) {
     boxes->assign(count, Box());
     if (ReadRaw(f.get(), boxes->data(), count * sizeof(Box))) {
-      return IoStatus::Ok();
+      const auto bad = std::ranges::find_if_not(*boxes, IsApplicableBox);
+      if (bad == boxes->end()) return IoStatus::Ok();
+      const size_t index = static_cast<size_t>(bad - boxes->begin());
+      boxes->clear();
+      return IoStatus::Error("'" + path + "' box " + std::to_string(index) +
+                             ": " + kRejectedBox);
     }
   }
   boxes->clear();
@@ -161,6 +168,12 @@ IoStatus ReadBoxesCsv(const std::string& path, std::vector<Box>* boxes) {
       return IoStatus::Error("'" + path + "' line " +
                              std::to_string(line_number) +
                              ": expected 6 comma-separated floats");
+    }
+    if (!IsApplicableBox(b)) {
+      boxes->clear();
+      return IoStatus::Error("'" + path + "' line " +
+                             std::to_string(line_number) + ": " +
+                             kRejectedBox);
     }
     boxes->push_back(b);
   }

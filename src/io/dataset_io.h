@@ -27,6 +27,10 @@ struct IoStatus {
 /// count, then `count` boxes of 6 floats (lo.xyz, hi.xyz). Compact and
 /// loads at memcpy speed — the paper's loading experiment (section 6.3)
 /// shows load time is dwarfed by join time, and this format keeps it so.
+///
+/// Both readers reject a box IsApplicableBox turns away (a NaN coordinate
+/// or lo > hi on some axis) with an error naming the file and the box index
+/// (binary) or line (CSV), and return no boxes.
 IoStatus WriteBoxesBinary(const std::string& path,
                           const std::vector<Box>& boxes);
 IoStatus ReadBoxesBinary(const std::string& path, std::vector<Box>* boxes);

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -151,6 +152,43 @@ TEST(BoxCsvIoTest, HeaderlessFileStillParses) {
   ASSERT_TRUE(ReadBoxesCsv(file.path(), &loaded).ok);
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[1], MakeBox(2, 2, 2, 3, 3, 3));
+}
+
+TEST(BoxCsvIoTest, NanCoordinateIsRejectedWithItsLine) {
+  TempFile file("nan.csv");
+  std::ofstream(file.path()) << "lo_x,lo_y,lo_z,hi_x,hi_y,hi_z\n"
+                             << "0,0,0,1,1,1\n"
+                             << "nan,0,0,1,1,1\n";
+  Dataset loaded;
+  const IoStatus status = ReadBoxesCsv(file.path(), &loaded);
+  EXPECT_FALSE(status.ok);
+  EXPECT_NE(status.message.find(file.path()), std::string::npos);
+  EXPECT_NE(status.message.find("line 3"), std::string::npos);
+  EXPECT_TRUE(loaded.empty());
+}
+
+TEST(BoxCsvIoTest, InvertedBoxIsRejectedWithItsLine) {
+  TempFile file("inverted.csv");
+  std::ofstream(file.path()) << "0,0,0,1,1,1\n"
+                             << "5,5,5,4,6,6\n";
+  Dataset loaded;
+  const IoStatus status = ReadBoxesCsv(file.path(), &loaded);
+  EXPECT_FALSE(status.ok);
+  EXPECT_NE(status.message.find("line 2"), std::string::npos);
+  EXPECT_TRUE(loaded.empty());
+}
+
+TEST(BoxBinaryIoTest, NanInPayloadIsRejectedWithItsIndex) {
+  Dataset boxes = GenerateSynthetic(Distribution::kUniform, 10, 12);
+  boxes[7].hi.y = std::numeric_limits<float>::quiet_NaN();
+  TempFile file("nan.bin");
+  ASSERT_TRUE(WriteBoxesBinary(file.path(), boxes).ok);
+  Dataset loaded;
+  const IoStatus status = ReadBoxesBinary(file.path(), &loaded);
+  EXPECT_FALSE(status.ok);
+  EXPECT_NE(status.message.find(file.path()), std::string::npos);
+  EXPECT_NE(status.message.find("box 7"), std::string::npos);
+  EXPECT_TRUE(loaded.empty());
 }
 
 TEST(NeuroIoTest, RoundTripsModel) {

@@ -141,13 +141,13 @@ TEST(IntegrationTest, PartitionedParallelTouchWithRefinement) {
 }
 
 TEST(IntegrationTest, PrebuiltIndexSharedAcrossJoins) {
-  // One R-tree on A reused for several probe datasets via the section-4.3
-  // conversion: the amortized-build pattern of a long-lived service.
+  // One R-tree on A reused as the TOUCH tree for several probe datasets (the
+  // section-4.3 shortcut): the amortized-build pattern of a long-lived
+  // service.
   const Dataset a = GenerateSynthetic(Distribution::kGaussian, 1200, 215);
   Dataset enlarged = a;
   for (Box& box : enlarged) box = box.Enlarged(8.0f);
-  const RTree index(enlarged, 32, 4);
-  const TouchTree tree = TouchTree::FromRTree(index);
+  const RTree tree(enlarged, 32, 4);
 
   TouchJoin join;
   for (uint64_t seed = 300; seed < 304; ++seed) {

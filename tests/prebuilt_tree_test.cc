@@ -1,13 +1,14 @@
 // Tests of the paper's section-4.3 shortcut: an existing data-oriented
-// index on dataset A is converted into the TOUCH tree, and the join skips
-// the tree-building phase without changing the result.
+// index on dataset A serves as the TOUCH tree, and the join skips the
+// tree-building phase without changing the result.
 
 #include <gtest/gtest.h>
 
-#include <functional>
+#include <algorithm>
 
 #include "core/touch.h"
 #include "datagen/distributions.h"
+#include "index/dynamic_rtree.h"
 #include "index/rtree.h"
 #include "test_util.h"
 
@@ -25,49 +26,11 @@ class PrebuiltTreeTest : public ::testing::Test {
   Dataset b_;
 };
 
-TEST_F(PrebuiltTreeTest, ConvertedTreePreservesStructureInvariants) {
+TEST_F(PrebuiltTreeTest, JoinWithPrebuiltTreeMatchesOracle) {
   const RTree index(a_, 32, 4);
-  const TouchTree tree = TouchTree::FromRTree(index);
-  EXPECT_EQ(tree.size(), a_.size());
-  EXPECT_EQ(tree.height(), index.height());
-  EXPECT_EQ(tree.nodes().size(), index.nodes().size());
-
-  // Every node: MBR contains children / items, item range is the union of
-  // the children's ranges (DFS contiguity).
-  std::function<void(uint32_t)> walk = [&](uint32_t id) {
-    const TouchTree::Node& node = tree.nodes()[id];
-    if (node.IsLeaf()) {
-      for (uint32_t i = node.item_begin; i < node.item_end; ++i) {
-        EXPECT_TRUE(Contains(node.mbr, a_[tree.item_ids()[i]]));
-      }
-      return;
-    }
-    uint32_t expected_begin = node.item_begin;
-    for (uint32_t i = 0; i < node.children_count; ++i) {
-      const uint32_t child = tree.child_ids()[node.children_begin + i];
-      const TouchTree::Node& child_node = tree.nodes()[child];
-      EXPECT_TRUE(Contains(node.mbr, child_node.mbr));
-      EXPECT_EQ(child_node.item_begin, expected_begin)
-          << "descendant items must be contiguous";
-      expected_begin = child_node.item_end;
-      walk(child);
-    }
-    EXPECT_EQ(expected_begin, node.item_end);
-  };
-  walk(tree.root());
-
-  // Every object appears exactly once.
-  std::vector<uint32_t> items(tree.item_ids().begin(), tree.item_ids().end());
-  std::sort(items.begin(), items.end());
-  for (uint32_t i = 0; i < items.size(); ++i) EXPECT_EQ(items[i], i);
-}
-
-TEST_F(PrebuiltTreeTest, JoinWithConvertedTreeMatchesOracle) {
-  const RTree index(a_, 32, 4);
-  const TouchTree tree = TouchTree::FromRTree(index);
   TouchJoin join;
   VectorCollector out;
-  const JoinStats stats = join.JoinWithPrebuiltTree(tree, a_, b_, out);
+  const JoinStats stats = join.JoinWithPrebuiltTree(index, a_, b_, out);
   auto pairs = out.pairs();
   std::sort(pairs.begin(), pairs.end());
   EXPECT_EQ(pairs, OracleJoin(a_, b_));
@@ -81,22 +44,41 @@ TEST_F(PrebuiltTreeTest, WorksWithEveryBulkLoader) {
        {BulkLoadMethod::kStr, BulkLoadMethod::kHilbert,
         BulkLoadMethod::kTgs}) {
     const RTree index(a_, 16, 2, method);
-    const TouchTree tree = TouchTree::FromRTree(index);
     TouchJoin join;
     VectorCollector out;
-    join.JoinWithPrebuiltTree(tree, a_, b_, out);
+    join.JoinWithPrebuiltTree(index, a_, b_, out);
     auto pairs = out.pairs();
     std::sort(pairs.begin(), pairs.end());
     EXPECT_EQ(pairs, oracle);
   }
 }
 
+TEST_F(PrebuiltTreeTest, WorksWithInsertionBuiltTrees) {
+  const auto oracle = OracleJoin(a_, b_);
+  for (const RTreeVariant variant :
+       {RTreeVariant::kGuttman, RTreeVariant::kRStar}) {
+    DynamicRTree::Options options;
+    options.max_entries = 16;
+    options.min_entries = 6;
+    options.variant = variant;
+    DynamicRTree dynamic(options);
+    for (uint32_t i = 0; i < a_.size(); ++i) dynamic.Insert(i, a_[i]);
+    const RTree index = RTree::FromDynamic(dynamic);
+    TouchJoin join;
+    VectorCollector out;
+    const JoinStats stats = join.JoinWithPrebuiltTree(index, a_, b_, out);
+    auto pairs = out.pairs();
+    std::sort(pairs.begin(), pairs.end());
+    EXPECT_EQ(pairs, oracle) << static_cast<int>(variant);
+    EXPECT_EQ(stats.results, oracle.size());
+  }
+}
+
 TEST_F(PrebuiltTreeTest, MatchesSelfBuiltTreeWhenShapesAgree) {
-  // A fanout-2, 32-capacity STR R-tree converted to a TOUCH tree and the
-  // TOUCH tree built directly with the same parameters run the same join
-  // (identical STR packing), so comparisons must agree too.
+  // A fanout-2, 32-capacity STR R-tree is exactly the tree TOUCH builds for
+  // itself with the same parameters, so the prebuilt run emits the same
+  // pair sequence with the same work counters.
   const RTree index(a_, 32, 2);
-  const TouchTree converted = TouchTree::FromRTree(index);
 
   TouchOptions opt;
   opt.leaf_capacity = 32;
@@ -104,13 +86,16 @@ TEST_F(PrebuiltTreeTest, MatchesSelfBuiltTreeWhenShapesAgree) {
   opt.join_order = TouchOptions::JoinOrder::kBuildOnA;
   TouchJoin join(opt);
 
-  VectorCollector out_converted;
-  const JoinStats stats_converted =
-      join.JoinWithPrebuiltTree(converted, a_, b_, out_converted);
+  VectorCollector out_prebuilt;
+  const JoinStats stats_prebuilt =
+      join.JoinWithPrebuiltTree(index, a_, b_, out_prebuilt);
   VectorCollector out_direct;
   const JoinStats stats_direct = join.Join(a_, b_, out_direct);
-  EXPECT_EQ(out_converted.pairs().size(), out_direct.pairs().size());
-  EXPECT_EQ(stats_converted.comparisons, stats_direct.comparisons);
+  EXPECT_EQ(out_prebuilt.pairs(), out_direct.pairs());
+  EXPECT_EQ(stats_prebuilt.comparisons, stats_direct.comparisons);
+  EXPECT_EQ(stats_prebuilt.node_comparisons, stats_direct.node_comparisons);
+  EXPECT_EQ(stats_prebuilt.filtered, stats_direct.filtered);
+  EXPECT_EQ(stats_prebuilt.memory_bytes, stats_direct.memory_bytes);
 }
 
 // The engine's cached build-on-B distance joins hinge on this: probing a
@@ -137,7 +122,7 @@ TEST_F(PrebuiltTreeTest, ProbeEpsilonMatchesEnlargedCopyWithoutAllocating) {
   Dataset enlarged = probe;
   for (Box& box : enlarged) box = box.Enlarged(epsilon);
 
-  const TouchTree tree(build, 32, 2);
+  const RTree tree(build, 32, 2);
   TouchOptions options;
   options.leaf_capacity = 32;
   options.fanout = 2;
@@ -175,7 +160,7 @@ TEST_F(PrebuiltTreeTest, ProbeEpsilonWorksWithEveryLocalJoinStrategy) {
   const auto oracle = OracleJoin(build, enlarged);
   ASSERT_FALSE(oracle.empty());
 
-  const TouchTree tree(build, 32, 2);
+  const RTree tree(build, 32, 2);
   for (const LocalJoinStrategy strategy :
        {LocalJoinStrategy::kGrid, LocalJoinStrategy::kNestedLoop,
         LocalJoinStrategy::kPlaneSweep}) {
@@ -194,11 +179,10 @@ TEST_F(PrebuiltTreeTest, ProbeEpsilonWorksWithEveryLocalJoinStrategy) {
 
 TEST_F(PrebuiltTreeTest, EmptyIndexIsSafe) {
   const RTree index(Dataset{}, 32, 4);
-  const TouchTree tree = TouchTree::FromRTree(index);
-  EXPECT_TRUE(tree.empty());
+  EXPECT_TRUE(index.empty());
   TouchJoin join;
   VectorCollector out;
-  const JoinStats stats = join.JoinWithPrebuiltTree(tree, {}, b_, out);
+  const JoinStats stats = join.JoinWithPrebuiltTree(index, {}, b_, out);
   EXPECT_EQ(stats.results, 0u);
 }
 

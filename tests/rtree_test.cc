@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+
 #include "datagen/distributions.h"
+#include "index/dynamic_rtree.h"
 #include "test_util.h"
 #include "util/rng.h"
+#include "util/worker_pool.h"
 
 namespace touch {
 namespace {
@@ -16,6 +22,72 @@ std::vector<uint32_t> BruteForceQuery(const Dataset& boxes, const Box& query) {
     if (Intersects(boxes[i], query)) hits.push_back(i);
   }
   return hits;
+}
+
+// The class invariants every RTree holds, however it was built: items are a
+// permutation of the input in DFS leaf order, so the children's item ranges
+// (through ItemRange) tile the parent's; MBRs enclose their descendants;
+// levels step by one; no inner node has more than `fanout` children.
+void ExpectStructuralInvariants(const RTree& tree, const Dataset& boxes,
+                                size_t fanout, const std::string& label) {
+  SCOPED_TRACE(label);
+  std::vector<uint32_t> all(tree.item_ids().begin(), tree.item_ids().end());
+  std::sort(all.begin(), all.end());
+  ASSERT_EQ(all.size(), boxes.size());
+  for (uint32_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], i);
+  if (tree.empty()) return;
+
+  const RTree::ItemSpan root = tree.ItemRange(tree.root());
+  EXPECT_EQ(root.begin, 0u);
+  EXPECT_EQ(root.end, boxes.size());
+  EXPECT_EQ(tree.nodes()[tree.root()].level + 1, tree.height());
+  for (uint32_t id = 0; id < tree.nodes().size(); ++id) {
+    const RTree::Node& node = tree.nodes()[id];
+    const RTree::ItemSpan items = tree.ItemRange(id);
+    for (uint32_t i = items.begin; i < items.end; ++i) {
+      EXPECT_TRUE(Contains(node.mbr, boxes[tree.item_ids()[i]])) << id;
+    }
+    if (node.IsLeaf()) {
+      EXPECT_EQ(items.begin, node.begin);
+      EXPECT_EQ(items.size(), node.count);
+      continue;
+    }
+    EXPECT_GE(node.count, 1u);
+    EXPECT_LE(node.count, fanout);
+    uint32_t next = items.begin;
+    for (uint32_t i = node.begin; i < node.begin + node.count; ++i) {
+      const uint32_t child = tree.child_ids()[i];
+      EXPECT_TRUE(Contains(node.mbr, tree.nodes()[child].mbr));
+      EXPECT_EQ(tree.nodes()[child].level + 1, node.level);
+      const RTree::ItemSpan child_items = tree.ItemRange(child);
+      EXPECT_EQ(child_items.begin, next) << "node " << id;
+      next = child_items.end;
+    }
+    EXPECT_EQ(next, items.end) << "node " << id;
+  }
+}
+
+bool SameTree(const RTree& x, const RTree& y) {
+  if (x.root() != y.root() || x.height() != y.height() ||
+      x.nodes().size() != y.nodes().size()) {
+    return false;
+  }
+  for (size_t i = 0; i < x.nodes().size(); ++i) {
+    const RTree::Node& a = x.nodes()[i];
+    const RTree::Node& b = y.nodes()[i];
+    if (!(a.mbr == b.mbr) || a.begin != b.begin || a.count != b.count ||
+        a.level != b.level) {
+      return false;
+    }
+  }
+  return std::ranges::equal(x.child_ids(), y.child_ids()) &&
+         std::ranges::equal(x.item_ids(), y.item_ids()) &&
+         x.MemoryUsageBytes() == y.MemoryUsageBytes();
+}
+
+size_t LeafCount(const RTree& tree) {
+  return static_cast<size_t>(std::ranges::count_if(
+      tree.nodes(), [](const RTree::Node& node) { return node.IsLeaf(); }));
 }
 
 TEST(RTreeTest, EmptyTree) {
@@ -38,6 +110,102 @@ TEST(RTreeTest, SingleObjectTree) {
   tree.Query(boxes, MakeBox(0, 0, 0, 5, 5, 5),
              [&](uint32_t id) { hits.push_back(id); }, &stats);
   EXPECT_EQ(hits, std::vector<uint32_t>{0});
+}
+
+TEST(RTreeTest, SingleLeafTree) {
+  const Dataset boxes = GenerateSynthetic(Distribution::kUniform, 5, 1);
+  const RTree tree(boxes, 8, 2);
+  EXPECT_EQ(tree.height(), 1);
+  EXPECT_EQ(LeafCount(tree), 1u);
+  EXPECT_TRUE(tree.nodes()[tree.root()].IsLeaf());
+  EXPECT_EQ(tree.ItemRange(tree.root()).size(), 5u);
+}
+
+TEST(RTreeTest, InvariantsHoldForEveryBulkLoader) {
+  const Dataset boxes = GenerateSynthetic(Distribution::kClustered, 1000, 5);
+  for (const size_t fanout : {2u, 3u, 4u, 7u}) {
+    for (const BulkLoadMethod method :
+         {BulkLoadMethod::kStr, BulkLoadMethod::kHilbert,
+          BulkLoadMethod::kTgs}) {
+      ExpectStructuralInvariants(
+          RTree(boxes, 8, fanout, method), boxes, fanout,
+          "method " + std::to_string(static_cast<int>(method)) + " fanout " +
+              std::to_string(fanout));
+    }
+  }
+}
+
+TEST(RTreeTest, InvariantsHoldForInsertionBuiltTrees) {
+  const Dataset boxes = GenerateSynthetic(Distribution::kGaussian, 1500, 6);
+  for (const RTreeVariant variant :
+       {RTreeVariant::kGuttman, RTreeVariant::kRStar}) {
+    DynamicRTree::Options options;
+    options.max_entries = 8;
+    options.min_entries = 3;
+    options.variant = variant;
+    DynamicRTree dynamic(options);
+    for (uint32_t i = 0; i < boxes.size(); ++i) dynamic.Insert(i, boxes[i]);
+    ExpectStructuralInvariants(RTree::FromDynamic(dynamic), boxes,
+                               options.max_entries,
+                               "variant " + std::to_string(
+                                                static_cast<int>(variant)));
+  }
+}
+
+TEST(RTreeTest, LeavesKeepTheirPackingOrder) {
+  // The DFS pass moves whole leaves; it never reorders the items inside one,
+  // so leaf i holds exactly STR bucket i, in bucket order.
+  const Dataset boxes = GenerateSynthetic(Distribution::kGaussian, 3000, 7);
+  const RTree tree(boxes, 16, 3);
+  const StrPartitioning buckets = StrPartition(boxes, 16);
+  ASSERT_EQ(LeafCount(tree), buckets.NumBuckets());
+  for (uint32_t leaf = 0; leaf < buckets.NumBuckets(); ++leaf) {
+    const RTree::Node& node = tree.nodes()[leaf];
+    ASSERT_TRUE(node.IsLeaf());
+    EXPECT_TRUE(std::ranges::equal(
+        tree.item_ids().subspan(node.begin, node.count),
+        buckets.Bucket(leaf)))
+        << "leaf " << leaf;
+  }
+}
+
+TEST(RTreeTest, FanoutOneBuildsTheFanoutTwoTree) {
+  // A fanout of 1 would never shrink the upper levels; it is clamped to 2.
+  for (const size_t n : {10u, 500u}) {
+    const Dataset boxes = GenerateSynthetic(Distribution::kUniform, n, 8);
+    const RTree tree(boxes, 4, 1);
+    EXPECT_TRUE(SameTree(tree, RTree(boxes, 4, 2))) << n;
+    Rng rng(17);
+    for (int q = 0; q < 20; ++q) {
+      const Box query = CenteredBox(
+          static_cast<float>(rng.Uniform(0, 1000)),
+          static_cast<float>(rng.Uniform(0, 1000)),
+          static_cast<float>(rng.Uniform(0, 1000)),
+          static_cast<float>(rng.Uniform(10, 300)));
+      JoinStats stats;
+      std::vector<uint32_t> hits;
+      tree.Query(boxes, query, [&](uint32_t id) { hits.push_back(id); },
+                 &stats);
+      std::sort(hits.begin(), hits.end());
+      EXPECT_EQ(hits, BruteForceQuery(boxes, query)) << n << " query " << q;
+    }
+  }
+}
+
+TEST(RTreeTest, PooledBuildIsIdenticalToSequential) {
+  const Dataset boxes = GenerateSynthetic(Distribution::kGaussian, 60000, 23);
+  WorkerPool pool(3);
+  HelperSet helpers;
+  const RTree pooled(boxes, 64, 2, BulkLoadMethod::kStr, &pool, &helpers);
+  EXPECT_TRUE(SameTree(pooled, RTree(boxes, 64, 2)));
+}
+
+TEST(RTreeTest, LeafCapacityControlsLeafCount) {
+  const Dataset boxes = GenerateSynthetic(Distribution::kUniform, 1024, 9);
+  const RTree fine(boxes, 4, 2);
+  const RTree coarse(boxes, 128, 2);
+  EXPECT_GE(LeafCount(fine), 256u);
+  EXPECT_LE(LeafCount(coarse), 16u);
 }
 
 TEST(RTreeTest, NodeMbrsEncloseChildren) {
@@ -133,6 +301,7 @@ TEST(RTreeTest, IdenticalBoxesAllFound) {
   tree.Query(boxes, MakeBox(5.5f, 5.5f, 5.5f, 5.6f, 5.6f, 5.6f),
              [&](uint32_t id) { hits.push_back(id); }, &stats);
   EXPECT_EQ(hits.size(), boxes.size());
+  EXPECT_EQ(tree.nodes()[tree.root()].mbr, MakeBox(5, 5, 5, 6, 6, 6));
 }
 
 }  // namespace
