@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -60,51 +62,47 @@ void NodeGridResolution(const Box& node_mbr, const Vec3& min_cell_edge,
   }
 }
 
-// Dense per-node grid, reused across nodes via epoch stamping: a cell's list
-// is only valid when its stamp matches the current epoch, so switching to
-// the next node is O(1) instead of clearing (or re-allocating) every cell.
-// Array indexing here replaced a hash map that dominated the join phase.
-class ReusableGrid {
- public:
-  void Reset(uint64_t total_cells) {
-    if (cells_.size() < total_cells) {
-      cells_.resize(total_cells);
-      epoch_mark_.resize(total_cells, 0);
-    }
-    ++epoch_;
+// One grid node's cells in CSR form, reused across the nodes a worker slot
+// scatters: the probe ids in cell c are ids[offsets[c], offsets[c + 1]).
+// Order invariant: inside a cell the ids keep the node's entity order (the
+// order assignment appended them), which is the order the gather kernel
+// tests them in and therefore the order pairs are emitted in. Any change to
+// this layout must keep it; touch_test pins the resulting pair sequence.
+struct CellGrid {
+  std::vector<uint32_t> offsets;  // cells + 1 entries
+  std::vector<uint32_t> ids;      // one entry per placement
+  std::vector<CellRange> ranges;  // scatter scratch: each entity's cells
+
+  std::span<const uint32_t> Occupants(uint64_t cell) const {
+    return std::span<const uint32_t>(ids).subspan(
+        offsets[cell], offsets[cell + 1] - offsets[cell]);
   }
-
-  std::vector<uint32_t>& Cell(uint64_t index) {
-    std::vector<uint32_t>& cell = cells_[index];
-    if (epoch_mark_[index] != epoch_) {
-      epoch_mark_[index] = epoch_;
-      cell.clear();
-    }
-    return cell;
-  }
-
-  // Occupants of a cell, empty when untouched this epoch.
-  std::span<const uint32_t> Occupants(uint64_t index) const {
-    if (epoch_mark_[index] != epoch_) return {};
-    return cells_[index];
-  }
-
-  // Cells sized so far, and one cell's list capacity.
-  size_t size() const { return cells_.size(); }
-  size_t CellCapacity(size_t index) const { return cells_[index].capacity(); }
-
- private:
-  std::vector<std::vector<uint32_t>> cells_;
-  std::vector<uint32_t> epoch_mark_;
-  uint32_t epoch_ = 0;
 };
+
+// Calls visit(cell) for every cell index in `range` of a grid whose x and y
+// strides are `stride_x` and `stride_y` (z is contiguous).
+template <typename Visit>
+void ForEachCell(const CellRange& range, uint64_t stride_x, uint64_t stride_y,
+                 Visit&& visit) {
+  for (int x = range.lo.x; x <= range.hi.x; ++x) {
+    for (int y = range.lo.y; y <= range.hi.y; ++y) {
+      const uint64_t base = static_cast<uint64_t>(x) * stride_x +
+                            static_cast<uint64_t>(y) * stride_y;
+      for (int z = range.lo.z; z <= range.hi.z; ++z) {
+        visit(base + static_cast<uint64_t>(z));
+      }
+    }
+  }
+}
 
 // One thread's local-join scratch, reused across the units it runs. Each
 // starts on its own cache line: the hot counters and hit lists of threads
 // working side by side must not share one.
 struct alignas(64) WorkerContext {
   JoinStats stats;
-  ReusableGrid cells;
+  CellGrid grid;
+  uint64_t grid_placements = 0;  // summed over the nodes this slot scattered
+  size_t max_placements = 0;     // largest of those nodes' ids
   std::vector<uint32_t> descent_stack;
   std::vector<uint32_t> hits;
 };
@@ -122,37 +120,6 @@ struct alignas(64) PendingUnit {
 constexpr size_t kChunkItems = 2048;
 constexpr size_t kSplitItems = 4 * kChunkItems;
 constexpr size_t kWindowUnits = 64;
-
-// The bytes the sequential run's one reused grid ends at, reconstructed
-// from every slot's grid so memory_bytes does not depend on how the nodes
-// were spread over threads. The outer arrays replay ReusableGrid::Reset's
-// resizes over `grid_cells` (each grid node's size, in node order); each
-// cell keeps the largest list capacity any slot reached, because a list
-// that only grows by push_back has a capacity fixed by the largest size it
-// ever held.
-size_t SequentialGridBytes(std::span<const uint64_t> grid_cells,
-                           std::span<const WorkerContext> contexts) {
-  std::vector<uint8_t> outer;
-  std::vector<uint8_t> marks;
-  for (const uint64_t total : grid_cells) {
-    if (outer.size() < total) {
-      outer.resize(total);
-      marks.resize(total, 0);
-    }
-  }
-  size_t bytes = outer.capacity() * sizeof(std::vector<uint32_t>) +
-                 marks.capacity() * sizeof(uint32_t);
-  for (size_t i = 0; i < outer.size(); ++i) {
-    size_t capacity = 0;
-    for (const WorkerContext& ctx : contexts) {
-      if (i < ctx.cells.size()) {
-        capacity = std::max(capacity, ctx.cells.CellCapacity(i));
-      }
-    }
-    bytes += capacity * sizeof(uint32_t);
-  }
-  return bytes;
-}
 
 }  // namespace
 
@@ -357,7 +324,8 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
     RTree::ItemSpan items;
   };
   std::vector<NodeWork> work;
-  std::vector<uint64_t> grid_cells;  // per grid node, in node order
+  size_t grid_nodes = 0;
+  uint64_t max_grid_cells = 0;  // over grid nodes
   for (uint32_t node_id = 0; node_id < nodes.size(); ++node_id) {
     const size_t entity_count = entities[node_id].size();
     if (entity_count == 0) continue;
@@ -376,8 +344,10 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
         NodeGridResolution(nodes[node_id].mbr, min_cell_edge,
                            options_.grid_resolution,
                            /*max_total_cells=*/uint64_t{1} << 18, w.res);
-        grid_cells.push_back(static_cast<uint64_t>(w.res[0]) * w.res[1] *
-                             w.res[2]);
+        ++grid_nodes;
+        max_grid_cells = std::max(max_grid_cells,
+                                  static_cast<uint64_t>(w.res[0]) * w.res[1] *
+                                      w.res[2]);
       }
     }
     work.push_back(w);
@@ -416,31 +386,54 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   };
 
   // Equi-width grid over a node's region: the node's B entities are
-  // scattered into the cells they overlap ...
-  const auto scatter = [&](const NodeWork& w, ReusableGrid& cells) {
+  // scattered into the cells they overlap by a counting sort ...
+  const auto scatter = [&](const NodeWork& w, WorkerContext& ctx) {
     const GridMapper grid(nodes[w.node].mbr, w.res[0], w.res[1], w.res[2]);
     const uint64_t stride_y = static_cast<uint64_t>(w.res[2]);
     const uint64_t stride_x = stride_y * static_cast<uint64_t>(w.res[1]);
-    cells.Reset(static_cast<uint64_t>(w.res[0]) * w.res[1] * w.res[2]);
-    for (const uint32_t probe_id : entities[w.node]) {
-      const CellRange range = grid.RangeOf(probe_slab.BoxAt(probe_id));
-      for (int x = range.lo.x; x <= range.hi.x; ++x) {
-        for (int y = range.lo.y; y <= range.hi.y; ++y) {
-          const uint64_t base = static_cast<uint64_t>(x) * stride_x +
-                                static_cast<uint64_t>(y) * stride_y;
-          for (int z = range.lo.z; z <= range.hi.z; ++z) {
-            cells.Cell(base + static_cast<uint64_t>(z)).push_back(probe_id);
-          }
-        }
-      }
+    const uint64_t cell_count = grid.TotalCells();
+    const std::vector<uint32_t>& node_entities = entities[w.node];
+    CellGrid& cells = ctx.grid;
+    // Each entity's cell range, and the placements they add up to, summed
+    // in 64 bits: a node past 32-bit offsets fails here, before any write.
+    cells.ranges.clear();
+    uint64_t placements = 0;
+    for (const uint32_t probe_id : node_entities) {
+      cells.ranges.push_back(grid.RangeOf(probe_slab.BoxAt(probe_id)));
+      placements += cells.ranges.back().Count();
     }
+    if (placements > UINT32_MAX) {
+      throw std::length_error(
+          "TOUCH local-join grid: node needs more than 2^32-1 placements");
+    }
+    // Count per cell, then prefix-sum so offsets[c] is the end of cell c.
+    cells.offsets.assign(cell_count + 1, 0);
+    for (const CellRange& range : cells.ranges) {
+      ForEachCell(range, stride_x, stride_y,
+                  [&](uint64_t cell) { ++cells.offsets[cell]; });
+    }
+    for (uint64_t cell = 1; cell < cell_count; ++cell) {
+      cells.offsets[cell] += cells.offsets[cell - 1];
+    }
+    cells.offsets[cell_count] = static_cast<uint32_t>(placements);
+    // Fill back to front: pre-decrementing each cell's end lays its ids out
+    // in entity order and leaves offsets[c] at the start of cell c.
+    cells.ids.resize(placements);
+    for (size_t i = node_entities.size(); i-- > 0;) {
+      ForEachCell(cells.ranges[i], stride_x, stride_y, [&](uint64_t cell) {
+        cells.ids[--cells.offsets[cell]] = node_entities[i];
+      });
+    }
+    ctx.grid_placements += placements;
+    ctx.max_placements =
+        std::max(ctx.max_placements, static_cast<size_t>(placements));
   };
 
   // ... then every descendant A object in [item_lo, item_hi) of the node's
   // item range probes the cells it overlaps. A pair straddling several
   // shared cells is reported only by the cell holding its reference point.
   // Reads `cells` only, so chunks of one node can run on several threads.
-  const auto probe_grid = [&](const NodeWork& w, const ReusableGrid& cells,
+  const auto probe_grid = [&](const NodeWork& w, const CellGrid& cells,
                               size_t item_lo, size_t item_hi,
                               WorkerContext& ctx, auto&& emit) {
     const auto items = item_ids.subspan(w.items.begin, w.items.size());
@@ -457,14 +450,16 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
           const uint64_t base = static_cast<uint64_t>(x) * stride_x +
                                 static_cast<uint64_t>(y) * stride_y;
           for (int z = range.lo.z; z <= range.hi.z; ++z) {
-            // The cell's occupants are probe ids in scatter order; the
+            // The cell's occupants are probe ids in entity order; the
             // gather kernel tests them against this item in that order
             // and counts one comparison per occupant, like the scalar
             // loop it replaces.
+            const std::span<const uint32_t> occupants =
+                cells.Occupants(base + static_cast<uint64_t>(z));
+            if (occupants.empty()) continue;
             ctx.hits.clear();
             ctx.stats.comparisons += CollectOverlapsGather(
-                probe_slab, cells.Occupants(base + static_cast<uint64_t>(z)),
-                build_box, ctx.hits);
+                probe_slab, occupants, build_box, ctx.hits);
             for (const uint32_t probe_id : ctx.hits) {
               const Box probe_box = probe_slab.BoxAt(probe_id);
               const CellCoord home =
@@ -493,8 +488,8 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
         return;
       case NodeJoin::kGrid:
       case NodeJoin::kSplitGrid:
-        scatter(w, ctx.cells);
-        probe_grid(w, ctx.cells, 0, w.items.size(), ctx, emit);
+        scatter(w, ctx);
+        probe_grid(w, ctx.grid, 0, w.items.size(), ctx, emit);
         return;
       case NodeJoin::kAblation:
         break;
@@ -568,8 +563,8 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
       // One large grid node: scatter it here, then fork its read-only item
       // probes as chunks over this thread's grid.
       const NodeWork& w = work[i];
-      ReusableGrid& cells = contexts[0].cells;
-      scatter(w, cells);
+      scatter(w, contexts[0]);
+      const CellGrid& cells = contexts[0].grid;
       const size_t item_count = w.items.size();
       run_units((item_count + kChunkItems - 1) / kChunkItems,
                 [&](size_t chunk, WorkerContext& ctx, auto&& emit) {
@@ -588,11 +583,25 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
     });
     i = end;
   }
-  for (const WorkerContext& ctx : contexts) stats.MergeCounters(ctx.stats);
-  const size_t grid_bytes = SequentialGridBytes(grid_cells, contexts);
+  // The bytes the sequential run's one reused grid ends at: its largest
+  // offsets array plus its largest ids array. Maxima over the slots do not
+  // depend on how the nodes were spread over threads.
+  uint64_t grid_placements = 0;
+  size_t max_placements = 0;
+  for (const WorkerContext& ctx : contexts) {
+    stats.MergeCounters(ctx.stats);
+    grid_placements += ctx.grid_placements;
+    max_placements = std::max(max_placements, ctx.max_placements);
+  }
+  const size_t grid_bytes =
+      grid_nodes == 0
+          ? 0
+          : (max_grid_cells + 1 + max_placements) * sizeof(uint32_t);
   contexts.clear();  // freeing the grids is part of the phase
   stats.join_seconds = phase.Seconds();
   local_join_span.AddAttr("helpers", std::to_string(helpers.count()));
+  local_join_span.AddAttr("grid_nodes", std::to_string(grid_nodes));
+  local_join_span.AddAttr("grid_placements", std::to_string(grid_placements));
   local_join_span.End();
 
   stats.memory_bytes = tree.MemoryUsageBytes() + NestedVectorBytes(entities) +

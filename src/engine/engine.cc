@@ -51,16 +51,19 @@ class RemapCollector : public ResultCollector {
 /// Measures time-to-first-Emit generically — for every algorithm, not just
 /// the streaming NBPS that historically self-reported it. Wrapped around
 /// the request's collector in ExecuteRequest; single-threaded like every
-/// engine sink (Emit calls are never concurrent per request).
+/// engine sink (Emit calls are never concurrent per request). Reads the
+/// execution's own clock, the one total_seconds is taken from, so the first
+/// result can never read later than the whole execution.
 class FirstEmitCollector : public ResultCollector {
  public:
-  FirstEmitCollector(ResultCollector& out, const TraceContext& trace)
-      : out_(out), trace_(trace) {}
+  FirstEmitCollector(ResultCollector& out, const TraceContext& trace,
+                     const Timer& clock)
+      : out_(out), trace_(trace), clock_(clock) {}
 
   void Emit(uint32_t a_id, uint32_t b_id) override {
     if (!seen_) {
       seen_ = true;
-      elapsed_seconds_ = timer_.Seconds();
+      elapsed_seconds_ = clock_.Seconds();
       if (trace_.active()) {
         trace_.tracer->RecordInstant(trace_.trace_id, trace_.span_id,
                                      "first-result");
@@ -75,7 +78,7 @@ class FirstEmitCollector : public ResultCollector {
  private:
   ResultCollector& out_;
   TraceContext trace_;
-  Timer timer_;
+  const Timer& clock_;
   bool seen_ = false;
   double elapsed_seconds_ = 0.0;
 };
@@ -689,6 +692,11 @@ QueryEngine::QueryEngine(const EngineOptions& options)
   // TOUCH_SIMD_LEVEL terminates at engine construction with its diagnostic
   // instead of mid-join on a pool thread.
   ActiveKernels();
+  // Which overlap kernel ran: TOUCH's batched gather is vectorized only at
+  // AVX2, so local-join time reads differently per level.
+  metrics_->SetProvider(
+      std::string("touch_simd_level{level=\"") + SimdLevelName() + "\"}",
+      MetricType::kGauge, [] { return 1.0; });
   metrics_->gauge("touch_subscriptions");  // exported as 0 until one subscribes
   cache_.RegisterMetricProviders(*metrics_, "touch_cache_");
   metrics_->SetProvider("touch_pool_queue_depth", MetricType::kGauge, [this] {
@@ -1285,7 +1293,8 @@ JoinResult QueryEngine::ExecuteRequest(const JoinRequest& request,
     // (never mutated, or mutated append-only) that already *is* the object
     // id, and once a delete has swapped slots around the pairs are remapped
     // on the way out, so callers always see stable ids.
-    FirstEmitCollector first_emit(out, pinned.trace);
+    const Timer exec_clock;
+    FirstEmitCollector first_emit(out, pinned.trace, exec_clock);
     RemapCollector remapped(first_emit, *pinned.snap_a, *pinned.snap_b);
     ResultCollector& collector =
         pinned.snap_a->identity_ids() && pinned.snap_b->identity_ids()
@@ -1295,8 +1304,9 @@ JoinResult QueryEngine::ExecuteRequest(const JoinRequest& request,
     JoinResult result =
         family != nullptr
             ? ExecuteCached(*family, std::move(plan), request, collector,
-                            pinned)
-            : ExecuteUncached(std::move(plan), request, collector, pinned);
+                            pinned, exec_clock)
+            : ExecuteUncached(std::move(plan), request, collector, pinned,
+                              exec_clock);
     // NBPS measures its own (stream-internal) first-result latency; keep
     // the tighter self-report when present, fill in generically otherwise.
     if (result.stats.first_result_seconds == 0.0 && first_emit.seen()) {
@@ -1325,9 +1335,9 @@ JoinResult QueryEngine::ExecuteCached(const internal::ArtifactFamily& family,
                                       JoinPlan plan,
                                       const JoinRequest& request,
                                       ResultCollector& out,
-                                      const ExecContext& ctx) {
+                                      const ExecContext& ctx,
+                                      const Timer& total) {
   JoinResult result;
-  Timer total;
   HelperSet build_helpers;
   const FamilyInput in{plan,        request, *ctx.snap_a,
                        *ctx.snap_b, pool_,   build_helpers};
@@ -1409,7 +1419,8 @@ JoinResult QueryEngine::ExecuteCached(const internal::ArtifactFamily& family,
 JoinResult QueryEngine::ExecuteUncached(JoinPlan plan,
                                         const JoinRequest& request,
                                         ResultCollector& out,
-                                        const ExecContext& ctx) {
+                                        const ExecContext& ctx,
+                                        const Timer& total) {
   JoinResult result;
   AlgorithmConfig config;
   config.touch = plan.touch;
@@ -1441,6 +1452,7 @@ JoinResult QueryEngine::ExecuteUncached(JoinPlan plan,
   exec_span.End();
   metrics_->histogram("touch_engine_execute_seconds")
       .Observe(exec_timer.Seconds());
+  result.stats.total_seconds = total.Seconds();
   result.plan = std::move(plan);
   return result;
 }

@@ -19,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/cancellation.h"
+#include "util/timer.h"
 
 namespace touch {
 
@@ -503,14 +504,18 @@ class QueryEngine {
   /// The one execute path of the cacheable families (TOUCH, INL, PBSM):
   /// acquire the plan's artifacts from the index cache, building missing
   /// ones (phase kBuildingIndex, span build-index), then probe them (phase
-  /// kExecuting, span execute). See the family table in engine.cc.
+  /// kExecuting, span execute). See the family table in engine.cc. Both
+  /// executors report `total` (started with the request's sink wrapper) as
+  /// total_seconds.
   JoinResult ExecuteCached(const internal::ArtifactFamily& family,
                            JoinPlan plan, const JoinRequest& request,
-                           ResultCollector& out, const ExecContext& ctx);
+                           ResultCollector& out, const ExecContext& ctx,
+                           const Timer& total);
   /// The algorithms without a cacheable artifact (the planner sends small
   /// inputs to nl/ps): build and join in one library call.
   JoinResult ExecuteUncached(JoinPlan plan, const JoinRequest& request,
-                             ResultCollector& out, const ExecContext& ctx);
+                             ResultCollector& out, const ExecContext& ctx,
+                             const Timer& total);
   /// Feeds one finished request's measurements into the feedback store
   /// (fully cold, successful runs only; cancelled runs have partial stats
   /// and are never evidence).

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
+#include <sstream>
 #include <string>
 
+#include "core/overlap_kernel.h"
 #include "datagen/distributions.h"
 #include "join/nested_loop.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace touch {
@@ -385,6 +389,21 @@ TEST_F(QueryEngineTest, InvalidHandlesAreRejected) {
   const JoinResult result = engine.Execute({0, 1, 1.0f}, out);
   EXPECT_FALSE(result.error.empty());
   EXPECT_EQ(out.count(), 0u);
+}
+
+TEST(QueryEngineMetricsTest, ExportsTheActiveSimdLevel) {
+  EngineOptions options;
+  options.metrics = std::make_shared<MetricsRegistry>();
+  QueryEngine engine(options);
+  std::ostringstream scrape;
+  options.metrics->ExportPrometheus(scrape);
+  const std::string text = scrape.str();
+  EXPECT_NE(text.find("# TYPE touch_simd_level gauge\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find(std::string("touch_simd_level{level=\"") +
+                      SimdLevelName() + "\"} 1\n"),
+            std::string::npos)
+      << text;
 }
 
 }  // namespace

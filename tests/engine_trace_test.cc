@@ -144,6 +144,42 @@ TEST_F(EngineTraceTest, TouchPhasesReportTheirHelpers) {
   }
 }
 
+// The local-join span reports how much the grid replicated: grid nodes and
+// their cell placements, both independent of how many threads helped.
+TEST_F(EngineTraceTest, TouchLocalJoinReportsGridReplication) {
+  const Dataset a_boxes =
+      GenerateSynthetic(Distribution::kClustered, 30000, 63);
+  const Dataset b_boxes =
+      GenerateSynthetic(Distribution::kClustered, 50000, 64);
+  std::vector<std::map<std::string, std::string>> seen;
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    tracer_ = std::make_shared<Tracer>();
+    EngineOptions options = TracedOptions();
+    options.threads = threads;
+    QueryEngine engine(options);
+    const DatasetHandle a = engine.RegisterDataset("a", a_boxes);
+    const DatasetHandle b = engine.RegisterDataset("b", b_boxes);
+    CountingCollector out;
+    const JoinResult result = engine.ExecuteFixed("touch", {a, b, 2.0f}, out);
+    ASSERT_TRUE(result.ok()) << result.error;
+    const TraceView view(*tracer_);
+    const SpanRecord* span = view.Find("touch-local-join");
+    ASSERT_NE(span, nullptr);
+    std::map<std::string, std::string> attrs(span->attrs.begin(),
+                                             span->attrs.end());
+    ASSERT_TRUE(attrs.count("grid_nodes"));
+    ASSERT_TRUE(attrs.count("grid_placements"));
+    const uint64_t nodes = std::stoull(attrs["grid_nodes"]);
+    const uint64_t placements = std::stoull(attrs["grid_placements"]);
+    EXPECT_GT(nodes, 0u);
+    EXPECT_GE(placements, nodes);
+    attrs.erase("helpers");
+    seen.push_back(attrs);
+  }
+  EXPECT_EQ(seen[0], seen[1]);
+}
+
 // A standing join's delta-probe span counts its partner-tree traversals:
 // one for a short move (old and new windows overlap, their union is probed
 // once), two for a far jump, one each for an insert and a delete. The

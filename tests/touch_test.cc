@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "datagen/distributions.h"
 #include "test_util.h"
 
@@ -231,6 +234,26 @@ TEST(TouchJoinTest, ResultsCounterMatchesCollector) {
   EXPECT_EQ(stats.results, out.count());
 }
 
+TEST(TouchJoinTest, GridPlacementsPast32BitsThrow) {
+  // Every A box covers the whole root grid (B is two points, so the cell
+  // edge falls back to the finest resolution, 62^3 cells), so 20000 of them
+  // need ~4.8e9 placements: more than 32-bit offsets can address. The join
+  // must refuse the node rather than wrap an index.
+  const Dataset a(20000, CenteredBox(50, 50, 50, 1000));
+  const Dataset b = {CenteredBox(0, 0, 0, 0), CenteredBox(100, 100, 100, 0)};
+  TouchOptions options;
+  options.join_order = TouchOptions::JoinOrder::kBuildOnB;
+  TouchJoin join(options);
+  CountingCollector out;
+  try {
+    join.Join(a, b, out);
+    ADD_FAILURE() << "expected std::length_error";
+  } catch (const std::length_error& error) {
+    EXPECT_NE(std::string(error.what()).find("placements"), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(DistanceJoinTest, EquivalentToEnlargedSpatialJoin) {
   const Dataset a = GenerateSynthetic(Distribution::kUniform, 300, 31);
   const Dataset b = GenerateSynthetic(Distribution::kUniform, 300, 32);
@@ -273,6 +296,100 @@ TEST(DistanceJoinTest, ZeroEpsilonIsPlainSpatialJoin) {
   auto pairs = out.pairs();
   std::sort(pairs.begin(), pairs.end());
   EXPECT_EQ(pairs, OracleJoin(a, b));
+}
+
+// Pins TOUCH's emission order across versions: touch_parallel_test only
+// compares thread counts within one binary, so a change to the order inside
+// a grid cell would pass it unnoticed. Each case hashes the ordered pair
+// sequence and checks the counters against values recorded before the local
+// join's grid moved to a flat (CSR) layout; neither may change.
+struct PinnedRun {
+  uint64_t sequence_hash;
+  uint64_t results;
+  uint64_t comparisons;
+  uint64_t node_comparisons;
+  uint64_t filtered;
+};
+
+// FNV-1a over the pairs in emission order.
+uint64_t SequenceHash(const std::vector<IdPair>& pairs) {
+  uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](uint32_t value) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (const auto& [a_id, b_id] : pairs) {
+    mix(a_id);
+    mix(b_id);
+  }
+  return hash;
+}
+
+void ExpectPinned(const VectorCollector& out, const JoinStats& stats,
+                  const PinnedRun& expected) {
+  EXPECT_EQ(out.pairs().size(), expected.results);
+  EXPECT_EQ(SequenceHash(out.pairs()), expected.sequence_hash);
+  EXPECT_EQ(stats.results, expected.results);
+  EXPECT_EQ(stats.comparisons, expected.comparisons);
+  EXPECT_EQ(stats.node_comparisons, expected.node_comparisons);
+  EXPECT_EQ(stats.filtered, expected.filtered);
+}
+
+TEST(TouchJoinTest, GridEmissionOrderIsPinned) {
+  Dataset a = GenerateSynthetic(Distribution::kClustered, 3000, 111);
+  for (Box& box : a) box = box.Enlarged(6.0f);
+  const Dataset b = GenerateSynthetic(Distribution::kClustered, 6000, 112);
+  // Large enough that the root is a grid node of >= 8192 items, probed in
+  // item chunks (a split grid node).
+  const Dataset big_a = GenerateSynthetic(Distribution::kClustered, 40000, 117);
+  const Dataset big_b = GenerateSynthetic(Distribution::kClustered, 60000, 118);
+  const auto run = [](TouchOptions::JoinOrder order, const Dataset& lhs,
+                      const Dataset& rhs, float epsilon,
+                      const PinnedRun& expected) {
+    TouchOptions options;
+    options.join_order = order;
+    TouchJoin join(options);
+    VectorCollector out;
+    const JoinStats stats = epsilon > 0
+                                ? DistanceJoin(join, lhs, rhs, epsilon, out)
+                                : join.Join(lhs, rhs, out);
+    ExpectPinned(out, stats, expected);
+  };
+  using Order = TouchOptions::JoinOrder;
+  {
+    SCOPED_TRACE("epsilon 0, build on A");
+    run(Order::kBuildOnA, a, b, 0.0f,
+        {3130462881592006908ull, 349, 1067, 18000, 0});
+  }
+  {
+    SCOPED_TRACE("epsilon 0, build on B");
+    run(Order::kBuildOnB, a, b, 0.0f,
+        {10342849091244433332ull, 349, 1211, 9000, 0});
+  }
+  {
+    SCOPED_TRACE("epsilon 2, build on A, split grid node");
+    run(Order::kBuildOnA, big_a, big_b, 2.0f,
+        {12537933131781275187ull, 20225, 91960, 180000, 0});
+  }
+  {
+    SCOPED_TRACE("epsilon 1, build on B, split grid node");
+    run(Order::kBuildOnB, big_a, big_b, 1.0f,
+        {15950127813494055116ull, 16044, 83388, 120000, 0});
+  }
+  {
+    // The engine's build-on-B path: a prebuilt tree over B, with A's
+    // enlargement applied to each probe box on the fly.
+    SCOPED_TRACE("probe epsilon 2, prebuilt tree, split grid node");
+    const RTree tree(big_b, /*leaf_capacity=*/59, /*fanout=*/2);
+    TouchJoin join;
+    VectorCollector out;
+    const JoinStats stats =
+        join.JoinWithPrebuiltTree(tree, big_b, big_a, out, 2.0f);
+    ExpectPinned(out, stats,
+                 {11666236199886772731ull, 20225, 95507, 120000, 0});
+  }
 }
 
 }  // namespace
