@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "estimate/selectivity.h"
 #include "geom/grid.h"
@@ -77,6 +78,16 @@ size_t HistogramCell(const GridMapper& grid, int res, const Box& box) {
 }
 
 }  // namespace
+
+void CheckApplicableBoxes(std::string_view dataset,
+                          std::span<const Box> boxes) {
+  const auto bad = std::ranges::find_if_not(boxes, IsApplicableBox);
+  if (bad == boxes.end()) return;
+  throw std::invalid_argument(
+      "dataset '" + std::string(dataset) + "' box " +
+      std::to_string(bad - boxes.begin()) +
+      ": NaN coordinate or lo > hi on some axis");
+}
 
 DatasetStats ComputeDatasetStats(std::span<const Box> boxes,
                                  int histogram_resolution) {

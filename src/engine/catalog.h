@@ -8,6 +8,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -63,6 +64,13 @@ struct DatasetStats {
 /// Computes the stats of one dataset (exposed for tests and tools).
 DatasetStats ComputeDatasetStats(std::span<const Box> boxes,
                                  int histogram_resolution = 32);
+
+/// Throws std::invalid_argument naming `dataset` and the index of the first
+/// box IsApplicableBox rejects (a NaN coordinate or lo > hi on some axis).
+/// The engines call it before any other registration work, so stats, shard
+/// partitions and trees never see such a box.
+void CheckApplicableBoxes(std::string_view dataset,
+                          std::span<const Box> boxes);
 
 /// Join-level estimate derived purely from two datasets' precomputed
 /// histograms — the planner's plan-time replacement for rescanning raw

@@ -730,11 +730,13 @@ QueryEngine::~QueryEngine() {
 }
 
 DatasetHandle QueryEngine::RegisterDataset(std::string name, Dataset boxes) {
+  CheckApplicableBoxes(name, boxes);
   return catalog_.Register(std::move(name), std::move(boxes));
 }
 
 DatasetHandle QueryEngine::RegisterDataset(std::string name, Dataset boxes,
                                            DatasetStats stats) {
+  CheckApplicableBoxes(name, boxes);
   return catalog_.Register(std::move(name), std::move(boxes),
                            std::move(stats));
 }

@@ -340,12 +340,15 @@ class QueryEngine {
   ~QueryEngine();
 
   /// Registers a dataset (stats are computed here, once). The returned
-  /// handle is what join requests refer to.
+  /// handle is what join requests refer to. Throws std::invalid_argument,
+  /// before any other work, if a box has a NaN coordinate or lo > hi
+  /// (CheckApplicableBoxes).
   DatasetHandle RegisterDataset(std::string name, Dataset boxes);
 
   /// Registers with stats the caller already computed (the sharded engine
   /// partitions and serializes per-shard stats before registering the
   /// shard boxes; recomputing here would double the registration scan).
+  /// Rejects bad boxes as the overload above does.
   DatasetHandle RegisterDataset(std::string name, Dataset boxes,
                                 DatasetStats stats);
 

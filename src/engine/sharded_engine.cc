@@ -37,7 +37,7 @@ struct internal::GatherState {
   /// sink pointer itself is not GUARDED_BY it: Get() legitimately reads
   /// user_sink un-mutexed once every pair handle has drained.
   Mutex sink_mutex;
-  std::vector<RequestHandle> handles;
+  BatchHandle handles;
   /// (shard_a, shard_b) of handles[k].
   std::vector<std::pair<int, int>> pair_ids;
   std::vector<std::pair<int, int>> pruned;
@@ -121,13 +121,8 @@ size_t ShardedRequestHandle::pair_count() const {
 }
 
 bool ShardedRequestHandle::Cancel() {
-  if (state_ == nullptr) return false;
   // One call fans out to every shard pair's cancellation source.
-  bool any = false;
-  for (RequestHandle& handle : state_->handles) {
-    if (handle.Cancel()) any = true;
-  }
-  return any;
+  return state_ != nullptr && state_->handles.CancelAll() > 0;
 }
 
 ShardedJoinResult ShardedRequestHandle::Get() {
@@ -245,6 +240,7 @@ ShardedQueryEngine::ShardedQueryEngine(const EngineOptions& options)
 
 DatasetHandle ShardedQueryEngine::RegisterDataset(std::string name,
                                                   Dataset boxes) {
+  CheckApplicableBoxes(name, boxes);
   ShardedCatalog::Entry entry;
   entry.name = std::move(name);
   entry.next_global = static_cast<uint32_t>(boxes.size());
@@ -403,7 +399,7 @@ ShardedRequestHandle ShardedQueryEngine::Submit(
       pair_request.trace_id = state->trace_id;
       pair_request.trace_parent_span = state->root_span_id;
       state->pair_ids.emplace_back(static_cast<int>(i), static_cast<int>(j));
-      state->handles.push_back(inner_.SubmitPlanned(
+      state->handles.requests().push_back(inner_.SubmitPlanned(
           std::move(plan), pair_request,
           std::make_unique<PairSink>(state, entry_a.shards[i].to_global,
                                      entry_b.shards[j].to_global,

@@ -126,7 +126,9 @@ class ShardedQueryEngine {
   /// Partitions `boxes` into shards, registers each shard with the inner
   /// engine, serializes per-shard stats into the sharded catalog, and
   /// returns the logical dataset's handle (valid for Submit/Execute on
-  /// *this* engine, not the inner one).
+  /// *this* engine, not the inner one). Throws std::invalid_argument,
+  /// before partitioning, if a box has a NaN coordinate or lo > hi
+  /// (CheckApplicableBoxes).
   DatasetHandle RegisterDataset(std::string name, Dataset boxes);
 
   /// Applies one mutation batch to a sharded dataset in *global* id space.

@@ -17,12 +17,9 @@ namespace touch {
 /// Sink for result pairs. Pair ids are indices into the two input spans, in
 /// (a, b) order regardless of any internal join-order swap an algorithm does.
 ///
-/// Thread-safety contract: unless a collector documents otherwise, Emit
-/// calls must be externally serialized — the parallel joins (TOUCH with
-/// threads > 1, PartitionedJoin) take a mutex around the shared collector,
-/// and the engine drives each request's collector from a single worker
-/// thread. ConcurrentCountingCollector is the lock-free exception for
-/// count-only paths.
+/// Thread-safety contract: Emit calls must be externally serialized. TOUCH
+/// with threads > 1 emits only from the calling thread, and the engine
+/// drives each request's collector from a single worker thread.
 class ResultCollector {
  public:
   virtual ~ResultCollector() = default;
@@ -31,9 +28,9 @@ class ResultCollector {
 
 /// Debug-only detector of unserialized Emit calls: an entry counter that
 /// must never observe a concurrent entry. Zero-size and no-op in NDEBUG
-/// builds. Serialized use from *different* threads (the parallel joins'
-/// mutex-guarded emission) passes; only genuinely concurrent calls — the
-/// ones that corrupt a non-atomic counter or vector — trip the assert.
+/// builds. Serialized use from *different* threads (e.g. a mutex-guarded
+/// gather) passes; only genuinely concurrent calls — the ones that corrupt a
+/// non-atomic counter or vector — trip the assert.
 class SerialEmitCheck {
  public:
   void Enter() {
@@ -41,8 +38,7 @@ class SerialEmitCheck {
     [[maybe_unused]] const int prior =
         in_emit_.fetch_add(1, std::memory_order_acquire);
     assert(prior == 0 &&
-           "ResultCollector::Emit called concurrently; serialize calls or "
-           "use ConcurrentCountingCollector");
+           "ResultCollector::Emit called concurrently; serialize calls");
 #endif
   }
   void Exit() {
@@ -61,7 +57,7 @@ class SerialEmitCheck {
 /// sets of millions of pairs would distort memory measurements).
 ///
 /// Not thread-safe: Emit calls must be serialized (asserted in debug
-/// builds); use ConcurrentCountingCollector when emitters race.
+/// builds).
 class CountingCollector : public ResultCollector {
  public:
   void Emit(uint32_t, uint32_t) override {
@@ -74,20 +70,6 @@ class CountingCollector : public ResultCollector {
  private:
   uint64_t count_ = 0;
   SerialEmitCheck check_;
-};
-
-/// Counts results with a relaxed atomic, safe for concurrent Emit from any
-/// number of threads (the engine's count-only batch paths). count() is only
-/// meaningful once the emitting join has completed.
-class ConcurrentCountingCollector : public ResultCollector {
- public:
-  void Emit(uint32_t, uint32_t) override {
-    count_.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> count_{0};
 };
 
 /// Materializes result pairs (used by tests and examples).

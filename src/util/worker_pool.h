@@ -29,9 +29,9 @@ class HelperSet {
   std::vector<uint8_t> ran_;
 };
 
-/// Reusable fixed-size worker pool. Unlike the per-call thread spawning of
-/// PartitionedJoin, the engine keeps one pool alive across queries, so a
-/// steady stream of batches pays thread start-up once.
+/// Reusable fixed-size worker pool: the only code that starts threads. The
+/// engine keeps one pool alive across queries, so a steady stream of
+/// batches pays thread start-up once.
 ///
 /// Besides whole tasks, a thread already inside a blocking phase can borrow
 /// the pool's idle workers through ForkJoin (see there): a lone request then

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -208,26 +207,6 @@ TEST_F(QueryEngineAsyncTest, FailedRequestCompletesSinkFutureAndCallback) {
   EXPECT_EQ(log.completions, 1);
   EXPECT_FALSE(log.last_result.error.empty());
   EXPECT_TRUE(log.pairs.empty());
-}
-
-TEST_F(QueryEngineAsyncTest, ConcurrentCountingCollectorTalliesAcrossThreads) {
-  // The engine-independent piece of the batch path: one relaxed-atomic
-  // collector fed by many threads counts every Emit.
-  ConcurrentCountingCollector collector;
-  constexpr int kThreads = 8;
-  constexpr int kEmits = 10000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&collector] {
-      for (int i = 0; i < kEmits; ++i) {
-        collector.Emit(static_cast<uint32_t>(i), 0);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(collector.count(),
-            static_cast<uint64_t>(kThreads) * kEmits);
 }
 
 }  // namespace

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "datagen/distributions.h"
+#include "engine/engine.h"
 #include "engine/planner.h"
 #include "join/nested_loop.h"
 #include "test_util.h"
@@ -295,6 +299,33 @@ TEST(DatasetCatalogTest, DuplicateNamesResolveToLatest) {
   const DatasetHandle second = catalog.Register(
       "data", GenerateSynthetic(Distribution::kUniform, 20, 5));
   EXPECT_EQ(catalog.Find("data"), second);
+}
+
+TEST(DatasetCatalogTest, EngineRejectsNanAndInvertedBoxesAtRegistration) {
+  // IsApplicableBox's policy holds at the engine's front door: the first
+  // bad box is named, and nothing reaches the catalog (or its stats).
+  Dataset nan_box(4, Box(Vec3(0, 0, 0), Vec3(1, 1, 1)));
+  nan_box[1].lo.y = std::numeric_limits<float>::quiet_NaN();
+  Dataset inverted(4, Box(Vec3(0, 0, 0), Vec3(1, 1, 1)));
+  inverted[2].lo.z = 2.0f;
+  inverted[3].lo.x = 2.0f;
+  QueryEngine engine;
+  try {
+    engine.RegisterDataset("nan", nan_box);
+    ADD_FAILURE() << "NaN box accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'nan' box 1"), std::string::npos)
+        << e.what();
+  }
+  try {
+    engine.RegisterDataset("inverted", inverted, DatasetStats{});
+    ADD_FAILURE() << "inverted box accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'inverted' box 2"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(engine.catalog().size(), 0u);
 }
 
 }  // namespace

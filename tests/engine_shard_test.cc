@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -376,6 +378,21 @@ TEST(ShardedEngineTest, ContinuousRequestIsRejectedNotRunOneShot) {
   EXPECT_NE(result.merged.error.find("continuous"), std::string::npos);
   EXPECT_TRUE(result.pairs.empty());
   EXPECT_EQ(out.count(), 0u);
+}
+
+TEST(ShardedEngineTest, RejectsNanAndInvertedBoxesBeforePartitioning) {
+  EngineOptions options;
+  options.shards = 4;
+  ShardedQueryEngine engine(options);
+  Dataset nan_box = GenerateSynthetic(Distribution::kUniform, 200, 47);
+  nan_box[5].hi.x = std::numeric_limits<float>::quiet_NaN();
+  Dataset inverted = GenerateSynthetic(Distribution::kUniform, 200, 48);
+  inverted[7].lo.y = inverted[7].hi.y + 1.0f;
+  EXPECT_THROW(engine.RegisterDataset("nan", nan_box), std::invalid_argument);
+  EXPECT_THROW(engine.RegisterDataset("inverted", inverted),
+               std::invalid_argument);
+  // No shard reached the inner engine.
+  EXPECT_EQ(engine.engine().catalog().size(), 0u);
 }
 
 TEST(ShardedEngineTest, SecondGatherReportsError) {

@@ -1,17 +1,17 @@
 // Cross-module integration tests: the full pipelines a downstream user runs,
-// wired end to end — generate → persist → reload → filter → refine, the
-// partitioned driver around parallel TOUCH, prebuilt-index joins feeding
+// wired end to end — generate → persist → reload → filter → refine,
+// parallel TOUCH feeding streaming refinement, prebuilt-index joins feeding
 // refinement, and the estimator planning a real join. Each test crosses at
 // least three modules; unit behaviour is covered elsewhere.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 
 #include "core/factory.h"
-#include "core/partitioned.h"
 #include "datagen/distributions.h"
 #include "datagen/neuro.h"
 #include "estimate/selectivity.h"
@@ -87,10 +87,10 @@ TEST(IntegrationTest, CsvInterchangeFeedsEveryAlgorithm) {
   }
 }
 
-TEST(IntegrationTest, PartitionedParallelTouchWithRefinement) {
-  // Partitioned driver (spatial slabs, worker threads) wrapping
-  // multi-threaded TOUCH, with streaming refinement on the collector side —
-  // all three concurrency/composition features at once.
+TEST(IntegrationTest, ParallelTouchWithRefinement) {
+  // Multi-threaded TOUCH feeding streaming refinement on the collector
+  // side. The refining collector is not thread-safe, so this also shows
+  // that parallel TOUCH emits from one thread only.
   Rng rng(214);
   std::vector<Sphere> spheres_a;
   std::vector<Sphere> spheres_b;
@@ -126,14 +126,12 @@ TEST(IntegrationTest, PartitionedParallelTouchWithRefinement) {
       },
       confirmed);
 
-  PartitionedOptions popt;
-  popt.partitions = 6;
-  popt.threads = 3;
   AlgorithmConfig config;
-  config.touch.threads = 2;
-  PartitionedDistanceJoin(
-      [&] { return MakeAlgorithm("touch", config); }, boxes_a, boxes_b,
-      static_cast<float>(kEpsilon), popt, refine);
+  config.touch.threads = 3;
+  const std::unique_ptr<SpatialJoinAlgorithm> touch =
+      MakeAlgorithm("touch", config);
+  DistanceJoin(*touch, boxes_a, boxes_b, static_cast<float>(kEpsilon),
+               refine);
 
   EXPECT_EQ(PairSet(confirmed.pairs().begin(), confirmed.pairs().end()),
             expected);

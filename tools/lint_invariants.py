@@ -30,6 +30,14 @@ Rules (catalog with rationale in docs/STATIC_ANALYSIS.md):
                       through the annotated Mutex/MutexLock/CondVar shims so
                       clang -Wthread-safety sees every acquisition.
 
+  raw-thread          No std::thread, std::jthread or std::async in src/
+                      outside util/worker_pool.{h,cc}: WorkerPool is the one
+                      place that starts threads, so every parallel phase
+                      shares its workers, its shutdown ordering and its
+                      queue metrics. Static members such as
+                      std::thread::hardware_concurrency() start nothing and
+                      stay allowed.
+
   iwyu                src/engine and src/obs headers (plus the util headers
                       in that graph) must directly include what they use,
                       for a curated map of std symbols -> headers. Keeps the
@@ -68,6 +76,9 @@ STRIDE_POLL_REQUIRED = (
 
 # The only file allowed to touch raw std locking primitives.
 LOCK_SHIM = "src/util/thread_annotations.h"
+
+# The only files allowed to start threads.
+THREAD_OWNERS = ("src/util/worker_pool.h", "src/util/worker_pool.cc")
 
 # Curated symbol -> required direct include. Deliberately small: every entry
 # is a symbol this codebase actually uses and has been burned by (or would
@@ -340,6 +351,24 @@ def check_naked_lock(path, rel, stripped, violations):
             f"Mutex/MutexLock/CondVar shims"))
 
 
+# --- Rule: raw-thread --------------------------------------------------------
+
+# `std::thread::` is a static member or nested type (hardware_concurrency,
+# id) and starts nothing.
+RAW_THREAD_RE = re.compile(
+    r"\bstd::(?:j?thread\b(?!\s*::)|async\b)")
+
+
+def check_raw_thread(path, rel, stripped, violations):
+    if rel in THREAD_OWNERS:
+        return
+    for match in RAW_THREAD_RE.finditer(stripped):
+        violations.append(Violation(
+            "raw-thread", path, line_of(stripped, match.start()),
+            f"raw {match.group()} outside src/util/worker_pool.{{h,cc}}; run "
+            f"parallel work on a WorkerPool (Submit or ForkJoin)"))
+
+
 # --- Rule: iwyu --------------------------------------------------------------
 
 def check_iwyu(path, raw, stripped, violations):
@@ -384,6 +413,8 @@ def lint_file(path, rules=None):
         check_emit_under_lock(path, raw, stripped, violations)
     if want("naked-lock") and rel.startswith("src/"):
         check_naked_lock(path, rel, stripped, violations)
+    if want("raw-thread") and rel.startswith("src/"):
+        check_raw_thread(path, rel, stripped, violations)
     if want("iwyu") and any(
             fnmatch.fnmatch(rel, pattern)
             for pattern in IWYU_HEADER_GLOBS):
@@ -473,6 +504,7 @@ def lint_fixture(path):
         check_emit_under_lock(path, raw, stripped, violations)
     if rel.startswith("src/"):
         check_naked_lock(path, rel, stripped, violations)
+        check_raw_thread(path, rel, stripped, violations)
     if any(fnmatch.fnmatch(rel, pattern)
            for pattern in IWYU_HEADER_GLOBS):
         check_iwyu(path, raw, stripped, violations)

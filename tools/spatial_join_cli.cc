@@ -28,7 +28,6 @@
 
 #include "core/factory.h"
 #include "core/overlap_kernel.h"
-#include "core/partitioned.h"
 #include "datagen/distributions.h"
 #include "datagen/neuro.h"
 #include "engine/engine.h"
@@ -57,9 +56,6 @@ struct CliOptions {
   std::string generate;
   size_t count = 100000;
   std::string out_path;
-  // Partitioned driver.
-  int partitions = 0;
-  int threads = 1;
   /// Engine index-cache cap for --algo=auto (0 = unbounded).
   size_t cache_bytes = 0;
   /// --algo=auto: ghost-list cache admission (artifacts retained only after
@@ -141,8 +137,6 @@ void PrintUsage() {
       "  --na=N --nb=N          generated dataset sizes (default 100k/200k)\n"
       "  --epsilon=E            distance threshold (default 5)\n"
       "  --seed=S               RNG seed (default 42)\n"
-      "  --partitions=P         run through the partitioned driver\n"
-      "  --threads=T            worker threads for the partitioned driver\n"
       "  --cache-bytes=N[kmg]   cap the --algo=auto index cache (cost-aware\n"
       "                         eviction; default unbounded)\n"
       "  --cache-admission=on|off  only retain an index artifact after the\n"
@@ -230,10 +224,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->count = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseFlag(arg, "out", &value)) {
       options->out_path = value;
-    } else if (ParseFlag(arg, "partitions", &value)) {
-      options->partitions = std::atoi(value.c_str());
-    } else if (ParseFlag(arg, "threads", &value)) {
-      options->threads = std::atoi(value.c_str());
     } else if (ParseFlag(arg, "cache-bytes", &value)) {
       if (!ParseByteCount(value, &options->cache_bytes)) {
         std::fprintf(stderr, "bad --cache-bytes value: %s\n", value.c_str());
@@ -572,9 +562,6 @@ int RunJoin(const CliOptions& options) {
     JoinStats stats;
     CountingCollector out;
     std::string display_name = name;
-    if (name == "auto" && options.partitions > 0) {
-      std::fprintf(stderr, "note: --partitions does not apply to --algo=auto\n");
-    }
     if (name == "auto" && sharded != nullptr) {
       auto_ran = true;
       ShardedRequestHandle handle = sharded->Submit(make_auto_request());
@@ -693,7 +680,7 @@ int RunJoin(const CliOptions& options) {
       }
       stats = result.stats;
       display_name = "auto:" + result.plan.algorithm;
-    } else if (engine != nullptr && options.partitions == 0) {
+    } else if (engine != nullptr) {
       // Mixed --algo list: fixed runs are evidence for the calibrator. In
       // the teaching phase (before the first auto) the cache is cleared so
       // repeated fixed names each measure a cold build; once an auto has
@@ -715,19 +702,6 @@ int RunJoin(const CliOptions& options) {
         return 1;
       }
       stats = result.stats;
-    } else if (options.partitions > 0) {
-      PartitionedOptions popt;
-      popt.partitions = options.partitions;
-      popt.threads = options.threads;
-      Dataset enlarged = a;
-      for (Box& box : enlarged) box = box.Enlarged(options.epsilon);
-      if (MakeAlgorithm(name) == nullptr) {
-        std::fprintf(stderr, "%s; this CLI also accepts 'auto' and 'all'\n",
-                     UnknownAlgorithmMessage(name).c_str());
-        return 1;
-      }
-      stats = PartitionedJoin([&] { return MakeAlgorithm(name); }, enlarged,
-                              b, popt, out);
     } else {
       std::unique_ptr<SpatialJoinAlgorithm> algorithm = MakeAlgorithm(name);
       if (algorithm == nullptr) {
