@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <optional>
 
 #include "geom/grid.h"
@@ -29,14 +30,21 @@ struct internal::GatherState {
   IdMapPtr shard_of_b;
   size_t shards_a = 0;
   size_t shards_b = 0;
-  /// Merged result pairs (post-dedup), counted by the pair sinks.
+  /// Merged result pairs (post-dedup), pairs dropped by the owner filter
+  /// (boundary duplicates) and batches forwarded into user_sink. Each pair
+  /// sink counts its own and adds them here once, in its OnComplete.
   std::atomic<uint64_t> merged_results{0};
-  /// Pairs dropped by the owner filter (boundary duplicates).
   std::atomic<uint64_t> deduplicated{0};
-  /// Serializes user_sink->Emit across concurrently executing pairs. The
-  /// sink pointer itself is not GUARDED_BY it: Get() legitimately reads
+  std::atomic<uint64_t> flushes{0};
+  /// Serializes the pair sinks' batch flushes into user_sink. The sink
+  /// pointer itself is not GUARDED_BY it: Get() legitimately reads
   /// user_sink un-mutexed once every pair handle has drained.
   Mutex sink_mutex;
+  /// First exception a completion flush caught from user_sink->Emit, with
+  /// its shard pair; Get() reports it as kError.
+  std::string sink_error GUARDED_BY(sink_mutex);
+  /// touch_sharded_sink_flush_seconds, resolved once at Submit.
+  Histogram* flush_seconds = nullptr;
   BatchHandle handles;
   /// (shard_a, shard_b) of handles[k].
   std::vector<std::pair<int, int>> pair_ids;
@@ -62,11 +70,15 @@ namespace {
 
 using GatherStatePtr = std::shared_ptr<internal::GatherState>;
 
+/// Survivors a pair sink buffers before forwarding them into the user sink
+/// under one sink_mutex hold.
+constexpr size_t kFlushPairs = 1024;
+
 /// The per-pair sink the inner engine owns: remaps shard-local ids to
-/// global ids, applies the owner dedup filter, and forwards survivors into
+/// global ids, applies the owner dedup filter, and buffers survivors for
 /// the shared user sink. Each instance is driven by exactly one worker
-/// (the inner engine's per-request contract); only the user-sink hop is
-/// cross-pair and takes the mutex.
+/// (the inner engine's per-request contract), so counts and the buffer are
+/// plain members; only a flush is cross-pair and takes the mutex.
 class PairSink : public ResultSink {
  public:
   PairSink(GatherStatePtr state, IdMapPtr to_global_a, IdMapPtr to_global_b,
@@ -75,14 +87,16 @@ class PairSink : public ResultSink {
         to_global_a_(std::move(to_global_a)),
         to_global_b_(std::move(to_global_b)),
         index_a_(index_a),
-        index_b_(index_b) {}
+        index_b_(index_b) {
+    if (state_->user_sink != nullptr) buffer_.reserve(kFlushPairs);
+  }
 
   void Emit(uint32_t local_a, uint32_t local_b) override {
     // A pair that executes against an inner snapshot newer than this
     // scatter can emit ids the pinned maps have never heard of; drop them
     // (the gather reports the dataset as of scatter time).
     if (local_a >= to_global_a_->size() || local_b >= to_global_b_->size()) {
-      state_->deduplicated.fetch_add(1, std::memory_order_relaxed);
+      ++deduplicated_;
       return;
     }
     const uint32_t global_a = (*to_global_a_)[local_a];
@@ -94,22 +108,70 @@ class PairSink : public ResultSink {
     // objects whose owner map entry went kNoShard (deleted mid-flight).
     if ((*state_->shard_of_a)[global_a] != index_a_ ||
         (*state_->shard_of_b)[global_b] != index_b_) {
-      state_->deduplicated.fetch_add(1, std::memory_order_relaxed);
+      ++deduplicated_;
       return;
     }
-    state_->merged_results.fetch_add(1, std::memory_order_relaxed);
-    if (state_->user_sink != nullptr) {
-      const MutexLock lock(state_->sink_mutex);
-      state_->user_sink->Emit(global_a, global_b);
+    ++merged_;
+    if (state_->user_sink == nullptr) return;
+    buffer_.emplace_back(global_a, global_b);
+    // A throw from the user sink fails this pair, as any Emit throw does.
+    if (buffer_.size() == kFlushPairs) Flush();
+  }
+
+  /// The inner engine delivers on the pair's worker, after its last Emit
+  /// and before the pair's future resolves, whatever the outcome — so
+  /// Get() sees every count and every forwarded pair.
+  void OnComplete(const JoinResult&) override {
+    // The delivery swallows exceptions; catch here so Get() reports them.
+    try {
+      Flush();
+    } catch (const std::exception& e) {
+      RecordSinkError(e.what());
+    } catch (...) {
+      RecordSinkError("unknown error");
     }
+    state_->merged_results.fetch_add(merged_, std::memory_order_relaxed);
+    state_->deduplicated.fetch_add(deduplicated_, std::memory_order_relaxed);
+    state_->flushes.fetch_add(flushes_, std::memory_order_relaxed);
   }
 
  private:
+  /// Forwards the buffer under one sink_mutex hold. The buffer empties even
+  /// when the user sink throws, so no pair is forwarded twice.
+  void Flush() {
+    if (buffer_.empty()) return;
+    ++flushes_;
+    const Timer wait_and_forward;
+    try {
+      const MutexLock lock(state_->sink_mutex);
+      for (const auto& [global_a, global_b] : buffer_) {
+        state_->user_sink->Emit(global_a, global_b);
+      }
+    } catch (...) {
+      buffer_.clear();
+      throw;
+    }
+    buffer_.clear();
+    state_->flush_seconds->Observe(wait_and_forward.Seconds());
+  }
+
+  void RecordSinkError(const char* what) {
+    const MutexLock lock(state_->sink_mutex);
+    if (state_->sink_error.empty()) {
+      state_->sink_error = Format("shard pair (%u, %u): sink flush failed: %s",
+                                  index_a_, index_b_, what);
+    }
+  }
+
   GatherStatePtr state_;
   IdMapPtr to_global_a_;
   IdMapPtr to_global_b_;
   uint32_t index_a_;
   uint32_t index_b_;
+  uint64_t merged_ = 0;
+  uint64_t deduplicated_ = 0;
+  uint64_t flushes_ = 0;
+  std::vector<std::pair<uint32_t, uint32_t>> buffer_;
 };
 
 }  // namespace
@@ -154,6 +216,8 @@ ShardedJoinResult ShardedRequestHandle::Get() {
   bool all_hit = !state.handles.empty();
   bool any_warm = false;
   bool any_cancelled = false;
+  double slowest_pair_seconds = 0;
+  double pair_seconds = 0;
   for (size_t k = 0; k < state.handles.size(); ++k) {
     JoinResult pair = state.handles[k].Get();
     if (pair.status == RequestStatus::kCancelled) any_cancelled = true;
@@ -171,6 +235,9 @@ ShardedJoinResult ShardedRequestHandle::Get() {
     merged.stats.assign_seconds += pair.stats.assign_seconds;
     merged.stats.join_seconds += pair.stats.join_seconds;
     merged.plan.expected_results += pair.plan.expected_results;
+    slowest_pair_seconds =
+        std::max(slowest_pair_seconds, pair.stats.total_seconds);
+    pair_seconds += pair.stats.total_seconds;
 
     ShardPairReport report;
     report.shard_a = state.pair_ids[k].first;
@@ -185,6 +252,13 @@ ShardedJoinResult ShardedRequestHandle::Get() {
   // pairs' pre-dedup result counters.
   merged.stats.results = state.merged_results.load(std::memory_order_relaxed);
   out.deduplicated = state.deduplicated.load(std::memory_order_relaxed);
+  {
+    const MutexLock lock(state.sink_mutex);
+    if (merged.error.empty() && !state.sink_error.empty()) {
+      merged.status = RequestStatus::kError;
+      merged.error = state.sink_error;
+    }
+  }
   if (merged.status != RequestStatus::kError && any_cancelled) {
     merged.status = RequestStatus::kCancelled;
   }
@@ -202,11 +276,20 @@ ShardedJoinResult ShardedRequestHandle::Get() {
   merged.trace_id = state.trace_id;
   gather_span.AddAttr("merged_results",
                       std::to_string(merged.stats.results));
+  gather_span.AddAttr("flushes", std::to_string(state.flushes.load(
+                                     std::memory_order_relaxed)));
   gather_span.End();
   if (state.metrics != nullptr) {
     // Increment(0) still creates the series, so scrapes always see it.
     state.metrics->counter("touch_sharded_dedup_total")
         .Increment(out.deduplicated);
+    // Slowest pair over the mean pair: 1 when the pool's last worker
+    // waited for nobody.
+    Histogram& skew = state.metrics->histogram("touch_sharded_pair_skew");
+    if (pair_seconds > 0) {
+      skew.Observe(slowest_pair_seconds /
+                   (pair_seconds / static_cast<double>(out.pairs.size())));
+    }
   }
   if (state.tracer != nullptr) {
     // The sharded request's root span, recorded now that the outcome is
@@ -306,6 +389,8 @@ ShardedRequestHandle ShardedQueryEngine::Submit(
   state->user_sink = std::move(sink);
   state->tracer = inner_.tracer();
   state->metrics = &inner_.metrics();
+  state->flush_seconds =
+      &state->metrics->histogram("touch_sharded_sink_flush_seconds");
   state->submit_ns = TraceClockNs();
   if (state->tracer != nullptr) {
     state->trace_id = state->tracer->NewTraceId();

@@ -150,9 +150,11 @@ class ShardedQueryEngine {
 
   /// Scatters the request across shard pairs (see class comment). `sink`
   /// (optional) receives merged, deduplicated (a, b) pairs in *global* id
-  /// space; Emit calls are serialized across pairs. Its OnComplete runs
-  /// inside the handle's Get(). A `continuous` request scatters nothing and
-  /// gathers as kError: sharded standing joins are not supported.
+  /// space, in per-pair bursts of up to 1024 while the pairs run; Emit
+  /// calls never overlap. An exception from its Emit fails the request
+  /// (kError naming the shard pair). Its OnComplete runs inside the
+  /// handle's Get(). A `continuous` request scatters nothing and gathers as
+  /// kError: sharded standing joins are not supported.
   ShardedRequestHandle Submit(const JoinRequest& request,
                               std::unique_ptr<ResultSink> sink = nullptr);
 

@@ -13,6 +13,7 @@
 
 #include "datagen/distributions.h"
 #include "engine/shard.h"
+#include "obs/trace.h"
 #include "test_util.h"
 #include "util/timer.h"
 
@@ -451,6 +452,180 @@ TEST(ShardedEngineTest, SinkReceivesGlobalIdsAndOneCompletion) {
   std::vector<IdPair> emitted = record->pairs;
   std::sort(emitted.begin(), emitted.end());
   EXPECT_EQ(emitted, expected);
+}
+
+// --- The gather's batched forward into the user sink ------------------------
+
+TEST(ShardedEngineTest, UserSinkSeesPairsBeforeTheLastPairExecutes) {
+  // One worker runs the pairs one after another, so a gather that held
+  // pairs back until Get() would emit its first pair only after the last
+  // pair's execute span had started.
+  struct Record {
+    int64_t first_emit_ns = 0;
+    uint64_t emitted = 0;
+  };
+  class StampingSink : public ResultSink {
+   public:
+    explicit StampingSink(std::shared_ptr<Record> record)
+        : record_(std::move(record)) {}
+    void Emit(uint32_t, uint32_t) override {
+      if (record_->emitted++ == 0) record_->first_emit_ns = TraceClockNs();
+    }
+
+   private:
+    std::shared_ptr<Record> record_;
+  };
+  auto tracer = std::make_shared<Tracer>();
+  EngineOptions options;
+  options.shards = 2;
+  options.threads = 1;
+  options.tracer = tracer;
+  ShardedQueryEngine engine(options);
+  // A 100-unit cube: dense enough that every shard pair has results.
+  SyntheticOptions dense;
+  dense.space = 100.0f;
+  const DatasetHandle ha = engine.RegisterDataset(
+      "A", GenerateSynthetic(Distribution::kUniform, 3000, 71, dense));
+  const DatasetHandle hb = engine.RegisterDataset(
+      "B", GenerateSynthetic(Distribution::kUniform, 3000, 72, dense));
+  auto record = std::make_shared<Record>();
+  ShardedRequestHandle handle =
+      engine.Submit({ha, hb, 1.0f}, std::make_unique<StampingSink>(record));
+  const ShardedJoinResult result = handle.Get();
+  ASSERT_TRUE(result.merged.ok()) << result.merged.error;
+  ASSERT_GE(result.pairs.size(), 3u);
+  EXPECT_EQ(record->emitted, result.merged.stats.results);
+
+  int64_t last_execute_start_ns = 0;
+  size_t executes = 0;
+  for (const SpanRecord& span : tracer->Snapshot()) {
+    if (span.name != "execute") continue;
+    ++executes;
+    last_execute_start_ns = std::max(last_execute_start_ns, span.start_ns);
+  }
+  ASSERT_EQ(executes, result.pairs.size());
+  EXPECT_LT(record->first_emit_ns, last_execute_start_ns)
+      << "the user sink saw nothing until the last shard pair was running";
+}
+
+TEST(ShardedEngineTest, UserSinkErrorInCompletionFlushFailsTheRequest) {
+  // The pair emits fewer pairs than one flush batch holds, so the user
+  // sink's throw happens when the pair's buffer is flushed at completion.
+  struct Record {
+    int completions = 0;
+    RequestStatus final_status = RequestStatus::kOk;
+  };
+  class ThrowingSink : public ResultSink {
+   public:
+    explicit ThrowingSink(std::shared_ptr<Record> record)
+        : record_(std::move(record)) {}
+    void Emit(uint32_t, uint32_t) override {
+      throw std::runtime_error("sink refused the pair");
+    }
+    void OnComplete(const JoinResult& result) override {
+      ++record_->completions;
+      record_->final_status = result.status;
+    }
+
+   private:
+    std::shared_ptr<Record> record_;
+  };
+  EngineOptions options;
+  options.shards = 1;
+  ShardedQueryEngine engine(options);
+  const DatasetHandle ha = engine.RegisterDataset(
+      "A", GenerateSynthetic(Distribution::kUniform, 2000, 73));
+  const DatasetHandle hb = engine.RegisterDataset(
+      "B", GenerateSynthetic(Distribution::kUniform, 2000, 74));
+  CountingCollector counted;
+  ASSERT_TRUE(engine.Execute({ha, hb, 10.0f}, counted).merged.ok());
+  ASSERT_GT(counted.count(), 0u);
+  ASSERT_LT(counted.count(), 1024u);
+
+  auto record = std::make_shared<Record>();
+  ShardedRequestHandle handle =
+      engine.Submit({ha, hb, 10.0f}, std::make_unique<ThrowingSink>(record));
+  const ShardedJoinResult result = handle.Get();
+  ASSERT_EQ(result.pairs.size(), 1u);
+  EXPECT_EQ(result.merged.status, RequestStatus::kError);
+  EXPECT_NE(result.merged.error.find("shard pair (0, 0)"), std::string::npos)
+      << result.merged.error;
+  EXPECT_NE(result.merged.error.find("sink refused the pair"),
+            std::string::npos)
+      << result.merged.error;
+  EXPECT_EQ(record->completions, 1);
+  EXPECT_EQ(record->final_status, RequestStatus::kError);
+}
+
+TEST(ShardedEngineTest, ConcurrentFlushesReachANonThreadSafeSinkSerially) {
+  // A plain counting sink: its members race unless every Emit is
+  // serialized (SerialEmitCheck asserts it in debug builds, TSan in the
+  // sanitizer builds). The checksum is order-independent.
+  struct Tally {
+    uint64_t count = 0;
+    uint64_t checksum = 0;
+  };
+  class TallySink : public ResultSink {
+   public:
+    explicit TallySink(std::shared_ptr<Tally> tally)
+        : tally_(std::move(tally)) {}
+    void Emit(uint32_t a_id, uint32_t b_id) override {
+      check_.Enter();
+      ++tally_->count;
+      tally_->checksum +=
+          (uint64_t{a_id} * 0x9E3779B97F4A7C15ull) ^ (uint64_t{b_id} + 1);
+      check_.Exit();
+    }
+
+   private:
+    std::shared_ptr<Tally> tally_;
+    SerialEmitCheck check_;
+  };
+  // A 100-unit cube: each slab-aligned shard pair has thousands of
+  // results, each pair across a slab boundary about a hundred.
+  SyntheticOptions dense;
+  dense.space = 100.0f;
+  const Dataset a = GenerateSynthetic(Distribution::kUniform, 12000, 75, dense);
+  const Dataset b = GenerateSynthetic(Distribution::kUniform, 12000, 76, dense);
+  const float epsilon = 3.0f;
+
+  EngineOptions options;
+  options.shards = 4;
+  options.threads = 3;
+  ShardedQueryEngine sharded(options);
+  auto sharded_tally = std::make_shared<Tally>();
+  const ShardedJoinResult result =
+      sharded
+          .Submit({sharded.RegisterDataset("A", a),
+                   sharded.RegisterDataset("B", b), epsilon},
+                  std::make_unique<TallySink>(sharded_tally))
+          .Get();
+  ASSERT_TRUE(result.merged.ok()) << result.merged.error;
+  EXPECT_EQ(result.deduplicated, 0u);
+  // Several full-buffer flushes on some pairs, a completion flush alone on
+  // others.
+  bool several_full_flushes = false;
+  bool completion_flush_only = false;
+  for (const ShardPairReport& pair : result.pairs) {
+    several_full_flushes = several_full_flushes || pair.stats.results > 2048;
+    completion_flush_only = completion_flush_only ||
+                            (pair.stats.results > 0 && pair.stats.results < 1024);
+  }
+  EXPECT_TRUE(several_full_flushes);
+  EXPECT_TRUE(completion_flush_only);
+
+  QueryEngine reference;
+  auto reference_tally = std::make_shared<Tally>();
+  const JoinResult reference_result =
+      reference
+          .Submit({reference.RegisterDataset("A", a),
+                   reference.RegisterDataset("B", b), epsilon},
+                  std::make_unique<TallySink>(reference_tally))
+          .Get();
+  ASSERT_TRUE(reference_result.ok()) << reference_result.error;
+  EXPECT_EQ(sharded_tally->count, reference_tally->count);
+  EXPECT_EQ(sharded_tally->checksum, reference_tally->checksum);
+  EXPECT_EQ(result.merged.stats.results, reference_result.stats.results);
 }
 
 TEST(ShardedEngineTest, MergedTelemetryAggregatesPairs) {

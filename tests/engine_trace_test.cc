@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -372,6 +373,49 @@ TEST_F(EngineTraceTest, ShardedOkRequestCoversPlanBuildExecuteGather) {
   }
   EXPECT_GE(metrics_->counter("touch_sharded_pairs_executed_total").Value(),
             1u);
+}
+
+TEST_F(EngineTraceTest, ShardedRequestExportsFlushAndPairSkewMetrics) {
+  EngineOptions options = TracedOptions();
+  options.shards = 2;
+  ShardedQueryEngine engine(options);
+  const DatasetHandle ha = engine.RegisterDataset("A", small_);
+  const DatasetHandle hb = engine.RegisterDataset("B", large_);
+  CountingCollector out;
+  const ShardedJoinResult result = engine.Execute({ha, hb, 2.0f}, out);
+  ASSERT_TRUE(result.merged.ok()) << result.merged.error;
+  ASSERT_GT(result.merged.stats.results, 0u);
+
+  std::ostringstream scrape;
+  metrics_->ExportPrometheus(scrape);
+  for (const std::string family :
+       {"touch_sharded_sink_flush_seconds", "touch_sharded_pair_skew"}) {
+    EXPECT_NE(scrape.str().find("# TYPE " + family + " histogram"),
+              std::string::npos)
+        << family << " missing from the scrape";
+  }
+  // One skew observation per sharded request: slowest pair over the mean.
+  Histogram& skew = metrics_->histogram("touch_sharded_pair_skew");
+  EXPECT_EQ(skew.Count(), 1u);
+  EXPECT_GE(skew.Sum(), 1.0);
+
+  // One flush observation per forwarded batch, never one per pair: at most
+  // one full batch per 1024 results plus one completion flush per pair.
+  const TraceView view(*tracer_);
+  const SpanRecord* gather = view.Find("gather");
+  ASSERT_NE(gather, nullptr);
+  std::string flushes_attr;
+  for (const SpanAttr& attr : gather->attrs) {
+    if (attr.first == "flushes") flushes_attr = attr.second;
+  }
+  ASSERT_FALSE(flushes_attr.empty()) << "gather span lacks a flushes attr";
+  const uint64_t flushes = std::stoull(flushes_attr);
+  EXPECT_GE(flushes, 1u);
+  EXPECT_LE(flushes,
+            result.merged.stats.results / 1024 + result.pairs.size());
+  EXPECT_EQ(
+      metrics_->histogram("touch_sharded_sink_flush_seconds").Count(),
+      flushes);
 }
 
 TEST_F(EngineTraceTest, UntracedEngineStillSetsFirstResultAndMetrics) {

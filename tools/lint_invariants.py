@@ -22,7 +22,8 @@ Rules (catalog with rationale in docs/STATIC_ANALYSIS.md):
                       is held — user code called under an engine lock is a
                       deadlock factory. The one exception is a lock over a
                       mutex named *sink_mutex*, which exists precisely to
-                      serialize Emit across shard pairs.
+                      serialize the sharded gather's batch flushes into
+                      the user sink across shard pairs.
 
   naked-lock          No .lock()/.unlock()/.try_lock() calls and no raw
                       std::mutex/lock_guard/unique_lock/condition_variable
