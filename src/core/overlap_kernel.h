@@ -82,11 +82,19 @@ class BoxSlab {
   template <typename BoxFn>
   void AssignGenerated(size_t count, BoxFn&& fn, float epsilon = 0.0f) {
     Resize(count);
+    FillGenerated(0, count, fn, epsilon);
+  }
+
+  /// slab[i] = fn(i), enlarged by epsilon, for i in [begin, end) of a slab
+  /// sized by Resize. Disjoint ranges may be filled on different threads.
+  template <typename BoxFn>
+  void FillGenerated(size_t begin, size_t end, BoxFn&& fn,
+                     float epsilon = 0.0f) {
     if (epsilon == 0.0f) {
       // Store the raw coordinates, not `x ± 0.0f` — adding a zero flips the
       // sign of -0.0f and would break bit-exact round-trips against the
       // scalar paths, which use the un-enlarged boxes directly.
-      for (size_t i = 0; i < count; ++i) {
+      for (size_t i = begin; i < end; ++i) {
         const Box box = fn(i);
         lo_x_[i] = box.lo.x;
         lo_y_[i] = box.lo.y;
@@ -97,7 +105,7 @@ class BoxSlab {
       }
       return;
     }
-    for (size_t i = 0; i < count; ++i) {
+    for (size_t i = begin; i < end; ++i) {
       const Box box = fn(i);
       lo_x_[i] = box.lo.x - epsilon;
       lo_y_[i] = box.lo.y - epsilon;
@@ -130,7 +138,8 @@ class BoxSlab {
   /// of Assign sizes — see AlignedArena).
   size_t MemoryUsageBytes() const { return arena_.MemoryUsageBytes(); }
 
- private:
+  /// Sizes the slab for `count` boxes and sets the padding; the boxes
+  /// themselves are left for FillGenerated.
   void Resize(size_t count) {
     size_ = count;
     // Pad so the last real element's chunk can always be loaded in full:
@@ -154,6 +163,7 @@ class BoxSlab {
     }
   }
 
+ private:
   simd::AlignedArena arena_;
   float* lo_x_ = nullptr;
   float* hi_x_ = nullptr;

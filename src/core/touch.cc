@@ -121,7 +121,126 @@ constexpr size_t kChunkItems = 2048;
 constexpr size_t kSplitItems = 4 * kChunkItems;
 constexpr size_t kWindowUnits = 64;
 
+// Assignment classifies probe ids in chunks of kAssignChunk, and the slabs
+// are copied in chunks of kSlabChunk boxes; inputs of one chunk run on the
+// caller alone.
+constexpr size_t kAssignChunk = 8192;
+constexpr size_t kSlabChunk = 16384;
+
+// A probe object's node when assignment filtered it or never reached it.
+constexpr uint32_t kNoNode = UINT32_MAX;
+
+// Sizes `slab` for `count` boxes and stores fn(i), enlarged by epsilon, in
+// fork-join chunks on `pool`'s idle workers.
+template <typename BoxFn>
+void FillSlab(WorkerPool* pool, HelperSet* helpers, BoxSlab& slab,
+              size_t count, BoxFn fn, float epsilon = 0.0f) {
+  slab.Resize(count);
+  ForkJoin(
+      pool, (count + kSlabChunk - 1) / kSlabChunk,
+      [&](size_t chunk, size_t /*slot*/) {
+        slab.FillGenerated(chunk * kSlabChunk,
+                           std::min(count, (chunk + 1) * kSlabChunk), fn,
+                           epsilon);
+      },
+      helpers);
+}
+
 }  // namespace
+
+TouchAssignment AssignToTree(const RTree& tree, const BoxSlab& child_mbrs,
+                             std::span<const Box> probe, float probe_epsilon,
+                             const CancellationToken& cancel,
+                             WorkerPool* pool, HelperSet* helpers) {
+  const std::span<const RTree::Node> nodes = tree.nodes();
+  const std::span<const uint32_t> child_ids = tree.child_ids();
+  TouchAssignment out;
+  out.entity_offsets.assign(nodes.size() + 1, 0);
+  if (nodes.empty()) {
+    out.filtered = probe.size();
+    return out;
+  }
+  // Each chunk records every probe object's node (kNoNode once filtered)
+  // and counts into its slot; integer sums do not depend on the split.
+  struct alignas(64) SlotCounters {
+    uint64_t node_comparisons = 0;
+    uint64_t filtered = 0;
+  };
+  std::vector<SlotCounters> counters(ForkJoinSlots(pool));
+  std::vector<uint32_t> node_of(probe.size(), kNoNode);
+  const size_t chunks = (probe.size() + kAssignChunk - 1) / kAssignChunk;
+  ForkJoin(
+      pool, chunks,
+      [&](size_t chunk, size_t slot) {
+        SlotCounters& count = counters[slot];
+        const size_t end = std::min(probe.size(), (chunk + 1) * kAssignChunk);
+        for (size_t probe_id = chunk * kAssignChunk; probe_id < end;
+             ++probe_id) {
+          // Cooperative cancellation, amortized over a power-of-two stride
+          // so the check costs one branch on the hot path.
+          if ((probe_id & 2047u) == 0 && cancel.stop_requested()) return;
+          const Box box = probe_epsilon > 0
+                              ? probe[probe_id].Enlarged(probe_epsilon)
+                              : probe[probe_id];
+          uint32_t current = tree.root();
+          ++count.node_comparisons;
+          if (!Intersects(box, nodes[current].mbr)) {
+            ++count.filtered;
+            continue;
+          }
+          while (!nodes[current].IsLeaf()) {
+            // Count children whose MBR overlaps the object; stop at the
+            // second (ClassifyOverlaps keeps the scalar loop's early exit
+            // and examined count, so node_comparisons stays the paper's
+            // metric).
+            const RTree::Node& node = nodes[current];
+            size_t first = 0;
+            const int hits =
+                ClassifyOverlaps(child_mbrs, node.begin,
+                                 node.begin + node.count, box, &first,
+                                 &count.node_comparisons);
+            // Overlaps several children: assigned to their parent (this
+            // node).
+            if (hits >= 2) break;
+            if (hits == 0) {
+              // Inside the node's MBR but outside every child: dead space,
+              // the object cannot intersect anything in this subtree.
+              ++count.filtered;
+              current = kNoNode;
+              break;
+            }
+            current = child_ids[first];
+          }
+          // A leaf, the node above two overlapping children, or kNoNode.
+          node_of[probe_id] = current;
+        }
+      },
+      helpers);
+  for (const SlotCounters& count : counters) {
+    out.node_comparisons += count.node_comparisons;
+    out.filtered += count.filtered;
+  }
+  // Counting sort by node: count, prefix-sum so offsets[n] is the end of
+  // node n, then fill back to front so each node's ids ascend and offsets[n]
+  // ends at its start.
+  for (const uint32_t node : node_of) {
+    if (node != kNoNode) ++out.entity_offsets[node];
+  }
+  uint32_t sum = 0;
+  for (uint32_t& offset : out.entity_offsets) {
+    sum += offset;
+    offset = sum;
+  }
+  out.entity_ids.resize(sum);
+  for (size_t probe_id = node_of.size(); probe_id-- > 0;) {
+    const uint32_t node = node_of[probe_id];
+    if (node != kNoNode) {
+      out.entity_ids[--out.entity_offsets[node]] =
+          static_cast<uint32_t>(probe_id);
+    }
+  }
+  return out;
+}
 
 JoinStats TouchJoin::Join(std::span<const Box> a, std::span<const Box> b,
                           ResultCollector& out) {
@@ -180,10 +299,10 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
     if (threads > 1) pool = &transient_pool.emplace(threads - 1);
   }
 
-  // The grid local join reads probe boxes through ProbeBox and needs no
-  // copy; the nested-loop / plane-sweep ablations take raw spans, so for
-  // them the enlargement is materialized once (and reported in
-  // memory_bytes).
+  // Assignment and the grid local join enlarge probe boxes as they read
+  // them and need no copy; the nested-loop / plane-sweep ablations take raw
+  // spans, so for them the enlargement is materialized once (and reported
+  // in memory_bytes).
   std::vector<Box> enlarged_probe;
   if (probe_epsilon > 0 &&
       options_.local_join != LocalJoinStrategy::kGrid) {
@@ -194,11 +313,6 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
     probe = enlarged_probe;
     probe_epsilon = 0;
   }
-  const auto ProbeBox = [probe, probe_epsilon](uint32_t probe_id) {
-    return probe_epsilon > 0 ? probe[probe_id].Enlarged(probe_epsilon)
-                             : probe[probe_id];
-  };
-
   // ---- Phase 1: tree building (Algorithm 2) — skipped when the caller
   // supplies a prebuilt tree (paper section 4.3). ----
   Timer phase;
@@ -220,7 +334,7 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   // Ambient phase span: attaches under the engine's "execute" span when one
   // is open on this thread, no-op otherwise (library callers untouched).
   SpanScope assign_span("touch-assign");
-  std::vector<std::vector<uint32_t>> entities(tree.nodes().size());
+  HelperSet assign_helpers;
   const std::span<const RTree::Node> nodes = tree.nodes();
   const std::span<const uint32_t> child_ids = tree.child_ids();
   // SoA slab over every node's child MBRs, in child_ids order, so each
@@ -228,50 +342,15 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   // overlap kernel (one node.begin/count range per node). Built
   // once per join, shared read-only with the local-join phase below.
   BoxSlab child_mbr_slab;
-  child_mbr_slab.AssignGenerated(
-      child_ids.size(), [&](size_t i) { return nodes[child_ids[i]].mbr; });
-  for (uint32_t probe_id = 0; probe_id < probe.size(); ++probe_id) {
-    // Cooperative cancellation, amortized over a power-of-two stride so the
-    // check costs one branch on the hot path.
-    if ((probe_id & 2047u) == 0 && cancel.stop_requested()) break;
-    const Box box = ProbeBox(probe_id);
-    uint32_t current = tree.root();
-    ++stats.node_comparisons;
-    if (!Intersects(box, nodes[current].mbr)) {
-      ++stats.filtered;
-      continue;
-    }
-    bool placed = false;
-    while (!nodes[current].IsLeaf()) {
-      // Count children whose MBR overlaps the object; stop at the second
-      // (ClassifyOverlaps keeps the scalar loop's early exit and examined
-      // count, so node_comparisons stays the paper's metric).
-      const RTree::Node& node = nodes[current];
-      size_t first = 0;
-      const int hits = ClassifyOverlaps(
-          child_mbr_slab, node.begin, node.begin + node.count, box, &first,
-          &stats.node_comparisons);
-      if (hits >= 2) {
-        // Overlaps several children: assign to their parent (this node).
-        entities[current].push_back(probe_id);
-        placed = true;
-        break;
-      }
-      if (hits == 0) {
-        // Inside the node's MBR but outside every child: dead space, the
-        // object cannot intersect anything in this subtree.
-        ++stats.filtered;
-        placed = true;  // handled (filtered)
-        break;
-      }
-      current = child_ids[first];
-    }
-    if (!placed) {
-      // Reached a leaf: assign to the leaf (lowest possible placement).
-      entities[current].push_back(probe_id);
-    }
-  }
+  FillSlab(pool, &assign_helpers, child_mbr_slab, child_ids.size(),
+           [&](size_t i) { return nodes[child_ids[i]].mbr; });
+  const TouchAssignment assignment =
+      AssignToTree(tree, child_mbr_slab, probe, probe_epsilon, cancel, pool,
+                   &assign_helpers);
+  stats.node_comparisons += assignment.node_comparisons;
+  stats.filtered += assignment.filtered;
   stats.assign_seconds = phase.Seconds();
+  assign_span.AddAttr("helpers", std::to_string(assign_helpers.count()));
   assign_span.End();
 
   // ---- Phase 3: per-node local join (Algorithm 4). ----
@@ -299,14 +378,18 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   // read-only across threads: the build items in item_ids order (so every
   // leaf's items are one contiguous range) and the probe boxes by probe id
   // with the remaining enlargement folded in (BoxAt round-trips the exact
-  // ProbeBox floats, so reference-point dedup is unchanged). Like the
-  // sweep's sorted copies, this probe scratch stays out of memory_bytes.
+  // floats assignment classified, so reference-point dedup is unchanged).
+  // Like the sweep's sorted copies, this probe scratch stays out of
+  // memory_bytes. Both are filled in chunks on the idle workers.
+  HelperSet helpers;
   BoxSlab item_slab;
   BoxSlab probe_slab;
   if (options_.local_join == LocalJoinStrategy::kGrid) {
-    item_slab.AssignGenerated(
-        item_ids.size(), [&](size_t i) { return build[item_ids[i]]; });
-    probe_slab.Assign(probe, probe_epsilon);
+    FillSlab(pool, &helpers, item_slab, item_ids.size(),
+             [&](size_t i) { return build[item_ids[i]]; });
+    FillSlab(
+        pool, &helpers, probe_slab, probe.size(),
+        [&](size_t i) { return probe[i]; }, probe_epsilon);
   }
 
   // How every node with work joins, decided up front in node order. Grid
@@ -327,7 +410,7 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   size_t grid_nodes = 0;
   uint64_t max_grid_cells = 0;  // over grid nodes
   for (uint32_t node_id = 0; node_id < nodes.size(); ++node_id) {
-    const size_t entity_count = entities[node_id].size();
+    const size_t entity_count = assignment.Entities(node_id).size();
     if (entity_count == 0) continue;
     const RTree::ItemSpan items = tree.ItemRange(node_id);
     const size_t item_count = items.size();
@@ -392,7 +475,8 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
     const uint64_t stride_y = static_cast<uint64_t>(w.res[2]);
     const uint64_t stride_x = stride_y * static_cast<uint64_t>(w.res[1]);
     const uint64_t cell_count = grid.TotalCells();
-    const std::vector<uint32_t>& node_entities = entities[w.node];
+    const std::span<const uint32_t> node_entities =
+        assignment.Entities(w.node);
     CellGrid& cells = ctx.grid;
     // Each entity's cell range, and the placements they add up to, summed
     // in 64 bits: a node past 32-bit offsets fails here, before any write.
@@ -478,7 +562,8 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   // its descendant leaves, as one unit.
   const auto join_node = [&](const NodeWork& w, WorkerContext& ctx,
                              auto&& emit) {
-    const std::vector<uint32_t>& node_entities = entities[w.node];
+    const std::span<const uint32_t> node_entities =
+        assignment.Entities(w.node);
     switch (w.how) {
       case NodeJoin::kDescent:
         for (size_t i = 0; i < node_entities.size(); ++i) {
@@ -511,7 +596,6 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   // every unit at the frontier and buffers nothing; with helpers, at most
   // one window of units is ever buffered.
   std::vector<PendingUnit> window(kWindowUnits);
-  HelperSet helpers;
   const auto oriented = [swapped](uint32_t build_id, uint32_t probe_id) {
     return swapped ? std::pair(probe_id, build_id)
                    : std::pair(build_id, probe_id);
@@ -604,8 +688,10 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   local_join_span.AddAttr("grid_placements", std::to_string(grid_placements));
   local_join_span.End();
 
-  stats.memory_bytes = tree.MemoryUsageBytes() + NestedVectorBytes(entities) +
-                       grid_bytes + VectorBytes(enlarged_probe);
+  stats.memory_bytes = tree.MemoryUsageBytes() +
+                       VectorBytes(assignment.entity_offsets) +
+                       VectorBytes(assignment.entity_ids) + grid_bytes +
+                       VectorBytes(enlarged_probe);
   stats.total_seconds = total.Seconds();
   return stats;
 }

@@ -1,6 +1,10 @@
 #ifndef TOUCH_CORE_TOUCH_H_
 #define TOUCH_CORE_TOUCH_H_
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "index/rtree.h"
 #include "join/algorithm.h"
 #include "join/local_join.h"
@@ -8,6 +12,8 @@
 
 namespace touch {
 
+class BoxSlab;
+class HelperSet;
 class WorkerPool;
 
 /// Tunable parameters of TOUCH (paper section 5.2). The defaults are the
@@ -54,11 +60,43 @@ struct TouchOptions {
   /// (whole small nodes, fixed-size item chunks of large grid nodes) shared
   /// with the helpers. Emission stays on the calling thread and in the
   /// sequential order, so pairs, their order, and every JoinStats counter
-  /// are identical to the single-threaded run. Phase 2 (assignment) stays
-  /// on the caller. 0 or 1 keeps the paper's single-threaded execution. The
-  /// engine ignores this field: it lends its own pool's idle workers.
+  /// are identical to the single-threaded run. Phase 2 (assignment) runs
+  /// in probe-id chunks on the same pool, and so do the slab copies that
+  /// set up phases 2 and 3. 0 or 1 keeps the paper's single-threaded
+  /// execution. The engine ignores this field: it lends its own pool's
+  /// idle workers.
   int threads = 1;
 };
+
+/// TOUCH's phase 2 (Algorithm 3) result: the probe objects assigned to each
+/// tree node, in CSR form. Node n's entities are
+/// entity_ids[entity_offsets[n], entity_offsets[n + 1]) in ascending probe
+/// id — the order a sequential probe-id loop appends them in, which fixes
+/// the local join's pair order.
+struct TouchAssignment {
+  std::vector<uint32_t> entity_offsets;  // nodes + 1 entries
+  std::vector<uint32_t> entity_ids;      // one entry per assigned object
+  uint64_t node_comparisons = 0;
+  uint64_t filtered = 0;
+
+  std::span<const uint32_t> Entities(uint32_t node) const {
+    return std::span<const uint32_t>(entity_ids)
+        .subspan(entity_offsets[node],
+                 entity_offsets[node + 1] - entity_offsets[node]);
+  }
+};
+
+/// Assigns every box of `probe`, enlarged by `probe_epsilon`, to the lowest
+/// node of `tree` whose MBR it overlaps without overlapping a sibling, or
+/// filters it (outside the root, or in a node's dead space). `child_mbrs`
+/// holds every node's child MBRs in child_ids order. The probe ids are
+/// classified in fork-join chunks on `pool`'s idle workers (recorded in
+/// `helpers`); the result and its counters do not depend on how many ran.
+/// Once `cancel` fires, the objects not yet classified are left out.
+TouchAssignment AssignToTree(const RTree& tree, const BoxSlab& child_mbrs,
+                             std::span<const Box> probe, float probe_epsilon,
+                             const CancellationToken& cancel,
+                             WorkerPool* pool, HelperSet* helpers = nullptr);
 
 /// TOUCH: in-memory spatial join by hierarchical data-oriented partitioning
 /// (the paper's contribution, section 4).

@@ -826,6 +826,7 @@ JoinPlan QueryEngine::Plan(const JoinRequest& request) const {
 }
 
 void QueryEngine::RecordOutcome(const JoinRequest& request,
+                                const ExecContext& ctx,
                                 const JoinResult& result) {
   if (!options_.calibration.enabled) return;
   // Cache hits skipped (some of) the build the cost models are fitted
@@ -837,24 +838,22 @@ void QueryEngine::RecordOutcome(const JoinRequest& request,
       result.partial_index_cache_hit) {
     return;
   }
-  // Pinned reads: the ref-returning stats accessor is only stable while no
-  // mutation of the dataset can run concurrently, which this path can't
-  // assume.
-  const DatasetSnapshotPtr snap_a = catalog_.snapshot(request.a);
-  const DatasetSnapshotPtr snap_b = catalog_.snapshot(request.b);
-  const DatasetStats& stats_a = snap_a->stats;
-  const DatasetStats& stats_b = snap_b->stats;
+  const DatasetStats& stats_a = ctx.snap_a->stats;
+  const DatasetStats& stats_b = ctx.snap_b->stats;
   PlanOutcome outcome;
   outcome.family = AlgorithmFamily(result.plan.algorithm);
   outcome.objects = stats_a.count + stats_b.count;
   outcome.results = result.stats.results;
-  // The fit feature is the planner's own estimate (recomputed here so
-  // fixed runs, whose plans skip estimation, get the same feature as auto
-  // runs) — see PlanOutcome::estimated_results.
+  // The fit feature is the planner's own estimate — see
+  // PlanOutcome::estimated_results. Plans that skipped estimation (fixed
+  // runs, tiny nl/ps inputs) carry 0 and get it computed here, from the
+  // same pinned stats, so every run has the same feature.
   outcome.estimated_results =
-      CombineHistograms(stats_a, stats_b, request.epsilon,
-                        options_.planner.estimator_resolution)
-          .expected_results;
+      result.plan.expected_results != 0
+          ? result.plan.expected_results
+          : CombineHistograms(stats_a, stats_b, request.epsilon,
+                              options_.planner.estimator_resolution)
+                .expected_results;
   outcome.build_seconds = result.stats.build_seconds;
   outcome.probe_seconds =
       result.stats.assign_seconds + result.stats.join_seconds;
@@ -1324,7 +1323,7 @@ JoinResult QueryEngine::ExecuteRequest(const JoinRequest& request,
     if (result.ok() && ctx.cancel.stop_requested()) {
       result.status = RequestStatus::kCancelled;
     }
-    RecordOutcome(request, result);
+    RecordOutcome(request, pinned, result);
     return result;
   } catch (const std::exception& e) {
     return ErrorResult(std::string("execution failed: ") + e.what());

@@ -521,8 +521,10 @@ class QueryEngine {
                              const Timer& total);
   /// Feeds one finished request's measurements into the feedback store
   /// (fully cold, successful runs only; cancelled runs have partial stats
-  /// and are never evidence).
-  void RecordOutcome(const JoinRequest& request, const JoinResult& result);
+  /// and are never evidence). Counts and the result estimate describe the
+  /// datasets as `ctx` pinned them, the version that ran.
+  void RecordOutcome(const JoinRequest& request, const ExecContext& ctx,
+                     const JoinResult& result);
   /// Fitted build-cost prediction for the cache's pre-admission policy
   /// (0 when admission or calibration is off, or the family is unmeasured).
   double PredictedBuildSeconds(const std::string& family,

@@ -391,6 +391,73 @@ TEST_F(QueryEngineTest, InvalidHandlesAreRejected) {
   EXPECT_EQ(out.count(), 0u);
 }
 
+// Inserts a batch into dataset `target` on the first pair it sees, so the
+// catalog moves to a new version while the request that emitted still
+// runs on the one it pinned.
+class MutatingCollector : public ResultCollector {
+ public:
+  MutatingCollector(QueryEngine& engine, DatasetHandle target)
+      : engine_(engine), target_(target) {}
+  void Emit(uint32_t, uint32_t) override {
+    if (mutated_) return;
+    mutated_ = true;
+    const std::vector<Mutation> inserts(
+        500, Mutation{MutationKind::kInsert, kInvalidObjectId,
+                      MakeBox(1, 1, 1, 2, 2, 2)});
+    engine_.ApplyMutations(target_, inserts);
+  }
+
+ private:
+  QueryEngine& engine_;
+  DatasetHandle target_;
+  bool mutated_ = false;
+};
+
+// Calibration evidence describes the dataset version that ran: an auto
+// cold run records its plan's own estimate and the pinned counts, even when
+// a mutation lands mid-request; a fixed run, whose plan skips estimation,
+// records the estimate computed from the same stats.
+TEST_F(QueryEngineTest, OutcomesRecordThePinnedVersionAndPlanEstimate) {
+  QueryEngine engine;
+  const DatasetHandle a = engine.RegisterDataset("small", small_);
+  const DatasetHandle b = engine.RegisterDataset("large", large_);
+  const JoinRequest request{a, b, 2.0f};
+  const DatasetSnapshotPtr pinned_a = engine.catalog().snapshot(a);
+  const DatasetSnapshotPtr pinned_b = engine.catalog().snapshot(b);
+
+  MutatingCollector mutating(engine, a);
+  const JoinResult cold = engine.Execute(request, mutating);
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  ASSERT_EQ(cold.plan.algorithm, "touch");
+  ASSERT_GT(cold.plan.expected_results, 0);
+  ASSERT_EQ(engine.catalog().snapshot(a)->stats.count,
+            small_.size() + 500);
+  std::vector<PlanOutcome> outcomes = engine.feedback().RecentOutcomes();
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].objects, small_.size() + large_.size());
+  EXPECT_EQ(outcomes[0].estimated_results, cold.plan.expected_results);
+
+  CountingCollector out;
+  const JoinResult fixed = engine.ExecuteFixed("ps", request, out);
+  ASSERT_TRUE(fixed.ok()) << fixed.error;
+  EXPECT_EQ(fixed.plan.expected_results, 0);
+  outcomes = engine.feedback().RecentOutcomes();
+  ASSERT_EQ(outcomes.size(), 2u);
+  const DatasetSnapshotPtr now_a = engine.catalog().snapshot(a);
+  EXPECT_EQ(outcomes[1].objects, now_a->stats.count + large_.size());
+  EXPECT_EQ(outcomes[1].estimated_results,
+            CombineHistograms(now_a->stats, pinned_b->stats, request.epsilon,
+                              engine.options().planner.estimator_resolution)
+                .expected_results);
+  EXPECT_GT(outcomes[1].estimated_results, 0);
+  // The first outcome's estimate was not recomputed on the mutated stats.
+  EXPECT_EQ(outcomes[0].estimated_results,
+            CombineHistograms(pinned_a->stats, pinned_b->stats,
+                              request.epsilon,
+                              engine.options().planner.estimator_resolution)
+                .expected_results);
+}
+
 TEST(QueryEngineMetricsTest, ExportsTheActiveSimdLevel) {
   EngineOptions options;
   options.metrics = std::make_shared<MetricsRegistry>();

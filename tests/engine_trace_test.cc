@@ -111,9 +111,9 @@ TEST_F(EngineTraceTest, TracedRequestProducesARootedPhaseSpanTree) {
             1u);
 }
 
-// The TOUCH build and local join report how many other pool workers ran
-// their fork-join chunks: none on a 1-worker pool, at most the pool's
-// other workers otherwise.
+// The TOUCH build, assignment and local join report how many other pool
+// workers ran their fork-join chunks: none on a 1-worker pool, at most the
+// pool's other workers otherwise.
 TEST_F(EngineTraceTest, TouchPhasesReportTheirHelpers) {
   const Dataset a_boxes =
       GenerateSynthetic(Distribution::kClustered, 30000, 63);
@@ -131,7 +131,8 @@ TEST_F(EngineTraceTest, TouchPhasesReportTheirHelpers) {
     const JoinResult result = engine.ExecuteFixed("touch", {a, b, 2.0f}, out);
     ASSERT_TRUE(result.ok()) << result.error;
     const TraceView view(*tracer_);
-    for (const std::string name : {"build-index", "touch-local-join"}) {
+    for (const std::string name :
+         {"build-index", "touch-assign", "touch-local-join"}) {
       const SpanRecord* span = view.Find(name);
       ASSERT_NE(span, nullptr) << name;
       const auto attr = std::find_if(

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <limits>
 #include <numeric>
+#include <random>
 #include <vector>
 
 #include "datagen/distributions.h"
@@ -11,6 +14,132 @@
 
 namespace touch {
 namespace {
+
+// STR as first written: every slab sort a std::sort of ids under a
+// comparator that compares two centers and breaks ties by id. StrPartition
+// sorts packed keys instead and must give exactly this order.
+StrPartitioning ReferenceStrPartition(const Dataset& boxes,
+                                      size_t bucket_size) {
+  StrPartitioning out;
+  const size_t n = boxes.size();
+  out.order.resize(n);
+  std::iota(out.order.begin(), out.order.end(), 0u);
+  const auto sort_by_center = [&](size_t begin, size_t end, int axis) {
+    std::sort(out.order.begin() + static_cast<ptrdiff_t>(begin),
+              out.order.begin() + static_cast<ptrdiff_t>(end),
+              [&](uint32_t a, uint32_t b) {
+                const float ca = boxes[a].lo[axis] + boxes[a].hi[axis];
+                const float cb = boxes[b].lo[axis] + boxes[b].hi[axis];
+                if (ca != cb) return ca < cb;
+                return a < b;
+              });
+  };
+  const size_t num_buckets = (n + bucket_size - 1) / bucket_size;
+  const size_t s = std::max<size_t>(
+      1, static_cast<size_t>(
+             std::ceil(std::cbrt(static_cast<double>(num_buckets)) - 1e-9)));
+  const size_t slab_x = bucket_size * s * s;
+  const size_t slab_y = bucket_size * s;
+  sort_by_center(0, n, 0);
+  out.bucket_begin.push_back(0);
+  for (size_t x0 = 0; x0 < n; x0 += slab_x) {
+    const size_t x1 = std::min(n, x0 + slab_x);
+    sort_by_center(x0, x1, 1);
+    for (size_t y0 = x0; y0 < x1; y0 += slab_y) {
+      const size_t y1 = std::min(x1, y0 + slab_y);
+      sort_by_center(y0, y1, 2);
+      for (size_t z0 = y0; z0 < y1; z0 += bucket_size) {
+        out.bucket_begin.push_back(
+            static_cast<uint32_t>(std::min(y1, z0 + bucket_size)));
+      }
+    }
+  }
+  return out;
+}
+
+// Boxes whose centers, on every axis, mix -0.0 and +0.0, many duplicates,
+// negative and subnormal coordinates, values near FLT_MAX (whose sums
+// overflow to +-inf) and ordinary random ones.
+Dataset AwkwardCenters(size_t n, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const auto pick = [&](float* lo, float* hi) {
+    const int k = static_cast<int>(rng() % 16) - 8;
+    switch (rng() % 8) {
+      case 0:  // -0.0 + -0.0 = -0.0
+        *lo = -0.0f;
+        *hi = -0.0f;
+        return;
+      case 1:  // +0.0, two ways
+        *lo = k % 2 == 0 ? 0.0f : -1.5f;
+        *hi = k % 2 == 0 ? 0.0f : 1.5f;
+        return;
+      case 2:  // subnormal centers of either sign
+        *lo = tiny * static_cast<float>(k);
+        *hi = *lo;
+        return;
+      case 3:  // near FLT_MAX: finite, or +-inf once summed
+        *lo = (k < 0 ? -FLT_MAX : FLT_MAX) * (k % 2 == 0 ? 1.0f : 0.25f);
+        *hi = *lo;
+        return;
+      case 4:
+      case 5:  // a handful of duplicate centers, negative ones included
+        *lo = static_cast<float>(k);
+        *hi = static_cast<float>(k) + 2.0f;
+        return;
+      default:
+        *lo = std::uniform_real_distribution<float>(-1000, 1000)(rng);
+        *hi = *lo + std::uniform_real_distribution<float>(0, 5)(rng);
+        return;
+    }
+  };
+  Dataset boxes(n);
+  for (Box& box : boxes) {
+    pick(&box.lo.x, &box.hi.x);
+    pick(&box.lo.y, &box.hi.y);
+    pick(&box.lo.z, &box.hi.z);
+  }
+  return boxes;
+}
+
+// Sizes either side of the 1024-key radix cutover for the whole-input
+// x-sort and, through the bucket sizes, for the slab and tile sorts; the
+// 40000-box inputs fork onto the pool.
+TEST(StrTest, OrderMatchesComparatorReference) {
+  WorkerPool pool(3);
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{1023}, size_t{1024},
+                         size_t{1025}, size_t{5000}, size_t{40000}}) {
+    const Dataset boxes = AwkwardCenters(n, 1000 + n);
+    for (const size_t bucket :
+         {size_t{1}, size_t{7}, size_t{64}, size_t{1024}}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " bucket " << bucket);
+      const StrPartitioning expected = ReferenceStrPartition(boxes, bucket);
+      const StrPartitioning sequential = StrPartition(boxes, bucket);
+      EXPECT_EQ(sequential.order, expected.order);
+      EXPECT_EQ(sequential.bucket_begin, expected.bucket_begin);
+      HelperSet helpers;
+      const StrPartitioning pooled =
+          StrPartition(boxes, bucket, &pool, &helpers);
+      EXPECT_EQ(pooled.order, expected.order);
+      EXPECT_EQ(pooled.bucket_begin, expected.bucket_begin);
+    }
+  }
+}
+
+// -0.0 and +0.0 centers are equal: ids alone order them, however the two
+// zeros are interleaved.
+TEST(StrTest, SignedZeroCentersTieById) {
+  Dataset boxes;
+  for (int i = 0; i < 3000; ++i) {
+    const float zero = i % 3 == 0 ? -0.0f : 0.0f;
+    boxes.push_back(MakeBox(zero, zero, zero, zero, zero, zero));
+  }
+  std::vector<uint32_t> ids(boxes.size());
+  std::iota(ids.begin(), ids.end(), 0u);
+  EXPECT_EQ(StrPartition(boxes, 5000).order, ids);
+  EXPECT_EQ(StrPartition(boxes, 16).order,
+            ReferenceStrPartition(boxes, 16).order);
+}
 
 TEST(StrTest, EmptyInput) {
   const StrPartitioning p = StrPartition({}, 8);

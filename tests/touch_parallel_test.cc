@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/overlap_kernel.h"
 #include "core/touch.h"
 #include "datagen/distributions.h"
 #include "test_util.h"
+#include "util/worker_pool.h"
 
 namespace touch {
 namespace {
@@ -81,6 +83,52 @@ TEST_P(TouchParallelTest, BuildOnBMatchesSequentialRun) {
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, TouchParallelTest,
                          ::testing::Values(2, 4, 8));
+
+// Assignment classifies the probe side in chunks of 8192 ids, so 40000 and
+// 60000 probe objects split into several chunks. Whichever side builds the
+// tree, the chunked assignment at 3 threads must give every node the same
+// entities in the same order, the same counters, and the same pairs.
+TEST(TouchParallelEdgeTest, ChunkedAssignmentMatchesSequentialRun) {
+  const Dataset a = GenerateSynthetic(Distribution::kClustered, 40000, 119);
+  const Dataset b = GenerateSynthetic(Distribution::kClustered, 60000, 120);
+  constexpr float kEpsilon = 1.5f;
+  WorkerPool pool(2);
+  for (const auto order : {TouchOptions::JoinOrder::kBuildOnA,
+                           TouchOptions::JoinOrder::kBuildOnB}) {
+    const bool on_a = order == TouchOptions::JoinOrder::kBuildOnA;
+    SCOPED_TRACE(on_a ? "build on A" : "build on B");
+    const Dataset& build = on_a ? a : b;
+    const Dataset& probe = on_a ? b : a;
+    const RTree tree(build, (build.size() + 1023) / 1024, /*fanout=*/2);
+    BoxSlab child_mbrs;
+    child_mbrs.AssignGenerated(tree.child_ids().size(), [&](size_t i) {
+      return tree.nodes()[tree.child_ids()[i]].mbr;
+    });
+    const TouchAssignment expected =
+        AssignToTree(tree, child_mbrs, probe, kEpsilon, {}, nullptr);
+    HelperSet helpers;
+    const TouchAssignment chunked =
+        AssignToTree(tree, child_mbrs, probe, kEpsilon, {}, &pool, &helpers);
+    EXPECT_LE(helpers.count(), pool.thread_count());
+    EXPECT_EQ(chunked.entity_offsets, expected.entity_offsets);
+    EXPECT_EQ(chunked.entity_ids, expected.entity_ids);
+    EXPECT_EQ(chunked.node_comparisons, expected.node_comparisons);
+    EXPECT_EQ(chunked.filtered, expected.filtered);
+    ASSERT_GT(expected.entity_ids.size(), 8192u);
+    for (uint32_t node = 0; node < tree.nodes().size(); ++node) {
+      const std::span<const uint32_t> ids = expected.Entities(node);
+      EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+    }
+
+    TouchOptions sequential;
+    sequential.join_order = order;
+    TouchOptions parallel = sequential;
+    parallel.threads = 3;
+    const JoinRun want = RunJoin(sequential, a, b, kEpsilon);
+    ASSERT_FALSE(want.pairs.empty());
+    ExpectSameRun(RunJoin(parallel, a, b, kEpsilon), want);
+  }
+}
 
 TEST(TouchParallelEdgeTest, ParallelDistanceJoinMatches) {
   const Dataset a = GenerateSynthetic(Distribution::kGaussian, 2000, 113);
