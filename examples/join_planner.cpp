@@ -4,7 +4,8 @@
 // A downstream system that runs many joins wants to (a) predict how large a
 // result set will be before committing memory to it, (b) let the library
 // pick the cheaper join order, and (c) cache datasets on disk between runs.
-// This example walks those three steps with the estimator, TOUCH's
+// This example walks those three steps with the engine's planner (which
+// estimates from the histograms computed at registration), TOUCH's
 // join-order knob, and the binary dataset format.
 //
 // Build & run:  ./build/examples/join_planner
@@ -14,7 +15,7 @@
 
 #include "core/touch.h"
 #include "datagen/distributions.h"
-#include "estimate/selectivity.h"
+#include "engine/engine.h"
 #include "io/dataset_io.h"
 
 int main() {
@@ -23,24 +24,28 @@ int main() {
   // A skewed workload: a small set of facilities, a large set of parcels.
   SyntheticOptions gen;
   gen.space = 800.0f;
-  const Dataset facilities =
-      GenerateSynthetic(Distribution::kClustered, 30'000, /*seed=*/3, gen);
-  const Dataset parcels =
-      GenerateSynthetic(Distribution::kClustered, 150'000, /*seed=*/4, gen);
+  QueryEngine engine;
+  const DatasetHandle facilities_handle = engine.RegisterDataset(
+      "facilities",
+      GenerateSynthetic(Distribution::kClustered, 30'000, /*seed=*/3, gen));
+  const DatasetHandle parcels_handle = engine.RegisterDataset(
+      "parcels",
+      GenerateSynthetic(Distribution::kClustered, 150'000, /*seed=*/4, gen));
+  const Dataset& facilities = engine.catalog().boxes(facilities_handle);
+  const Dataset& parcels = engine.catalog().boxes(parcels_handle);
   constexpr float kEpsilon = 4.0f;
 
-  // --- (a) Estimate before running. ---
-  const SelectivityEstimator estimator(facilities, parcels);
-  const SelectivityEstimate estimate = estimator.Estimate(kEpsilon);
+  // --- (a) Estimate before running: the plan reads only the stats. ---
+  const JoinPlan plan =
+      engine.Plan(JoinRequest{facilities_handle, parcels_handle, kEpsilon});
+  std::printf("plan: %s\n", plan.ToString().c_str());
   std::printf("estimated results:  %.0f  (selectivity %.2fe-6)\n",
-              estimate.expected_results, estimate.selectivity * 1e6);
+              plan.expected_results, plan.expected_selectivity * 1e6);
 
-  // --- (b) Join with the order the library recommends. ---
+  // --- (b) Join with the order the planner chose. ---
   TouchOptions options;
-  options.join_order = SelectivityEstimator::ShouldBuildOnA(facilities,
-                                                            parcels)
-                           ? TouchOptions::JoinOrder::kBuildOnA
-                           : TouchOptions::JoinOrder::kBuildOnB;
+  options.join_order = plan.build_on_a ? TouchOptions::JoinOrder::kBuildOnA
+                                       : TouchOptions::JoinOrder::kBuildOnB;
   TouchJoin join(options);
   CountingCollector out;
   const JoinStats stats =
@@ -49,11 +54,10 @@ int main() {
               static_cast<unsigned long long>(stats.results),
               stats.total_seconds * 1e3, stats.ToString().c_str());
 
-  const double ratio =
-      estimate.expected_results / static_cast<double>(stats.results);
-  std::printf("estimate / measured = %.2fx %s\n", ratio,
-              (ratio > 0.33 && ratio < 3.0) ? "(within the expected 3x band)"
-                                            : "(outside the 3x band!)");
+  // The histogram model assumes objects spread uniformly within a cell;
+  // clustered data breaks that, so expect the order of magnitude only.
+  std::printf("estimate / measured = %.2fx\n",
+              plan.expected_results / static_cast<double>(stats.results));
 
   // --- (c) Persist the datasets for the next run. ---
   const std::string path = "/tmp/join_planner_facilities.bin";

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "estimate/selectivity.h"
 #include "geom/grid.h"
 
 namespace touch {
@@ -120,7 +119,35 @@ DatasetStats ComputeDatasetStats(std::span<const Box> boxes,
   return stats;
 }
 
+int CellSizeCappedResolution(float min_extent, float max_avg_edge,
+                             int max_res) {
+  if (max_avg_edge <= 0) return max_res;
+  const float ratio = min_extent / (4.0f * max_avg_edge);
+  if (ratio >= static_cast<float>(max_res)) return max_res;
+  return std::clamp(static_cast<int>(ratio), 1, max_res);
+}
+
 namespace {
+
+/// Per-axis overlap probabilities for object centers in the same histogram
+/// cell and in adjacent cells. Two intervals of lengths ea and eb overlap
+/// when their centers are within (ea+eb)/2 of each other; with
+/// s = min(1, (ea+eb)/2c) and centers uniform in cells of edge c:
+///   same cell      (x1, x2 ~ U(0,1)):  P(|x1-x2| <= s)   = 2s - s^2
+///   adjacent cells (x2 shifted by 1):  P(|x1-x2-1| <= s) = s^2 / 2
+/// Offsets of two or more cells contribute nothing once cells are at least
+/// as large as the combined object extents.
+struct AxisProbabilities {
+  double same = 1.0;
+  double adjacent = 0.0;
+};
+
+AxisProbabilities AxisOverlapProbabilities(double ea, double eb,
+                                           double cell_edge) {
+  if (cell_edge <= 0) return AxisProbabilities{1.0, 0.0};
+  const double s = std::min(1.0, (ea + eb) / (2.0 * cell_edge));
+  return AxisProbabilities{2.0 * s - s * s, s * s / 2.0};
+}
 
 /// Per-axis fan-out of one source histogram cell onto the joint grid: the
 /// first overlapped target cell and the share of the source cell's extent
@@ -222,15 +249,16 @@ std::vector<double> ResampleHistogram(const DatasetStats& stats,
 }  // namespace
 
 PairEstimate CombineHistograms(const DatasetStats& a, const DatasetStats& b,
-                               float epsilon, int resolution) {
+                               float epsilon) {
   PairEstimate estimate;
   if (a.count == 0 || b.count == 0) return estimate;
   Box domain = a.extent;
   domain.ExpandToContain(b.extent);
   if (domain.IsEmpty()) return estimate;
 
-  // Same cell-size clamp as SelectivityEstimator: the within-cell uniformity
-  // assumption needs cells comfortably larger than the average object.
+  // The within-cell uniformity assumption needs cells comfortably larger
+  // than the average object (objects straddle cells the histogram never
+  // pairs them in).
   const Vec3 extent = domain.Extent();
   const float max_avg =
       std::max({a.avg_object_extent.x, a.avg_object_extent.y,
@@ -238,7 +266,7 @@ PairEstimate CombineHistograms(const DatasetStats& a, const DatasetStats& b,
                 b.avg_object_extent.y, b.avg_object_extent.z});
   const int res =
       CellSizeCappedResolution(std::min({extent.x, extent.y, extent.z}),
-                               max_avg, std::max(1, resolution));
+                               max_avg, kHistogramResolution);
 
   const std::vector<double> ha = ResampleHistogram(a, domain, res);
   const std::vector<double> hb = ResampleHistogram(b, domain, res);
@@ -258,8 +286,8 @@ PairEstimate CombineHistograms(const DatasetStats& a, const DatasetStats& b,
   }
 
   // Sum hA(c) * hB(c + d) over all cells and the 27 offsets d in {-1,0,1}^3,
-  // weighting each offset by the product of per-axis probabilities — the
-  // SelectivityEstimator model applied to the resampled (fractional) counts.
+  // weighting each offset by the product of per-axis probabilities, over
+  // the resampled (fractional) counts.
   const auto b_count_at = [&](int x, int y, int z) -> double {
     if (x < 0 || y < 0 || z < 0 || x >= res || y >= res || z >= res) return 0;
     return hb[(static_cast<size_t>(x) * res + y) * res + z];
@@ -398,11 +426,18 @@ bool DeserializeDatasetStats(std::span<const uint8_t> bytes,
 }
 
 DatasetHandle DatasetCatalog::Register(std::string name, Dataset boxes) {
+  CheckApplicableBoxes(name, boxes);
   DatasetStats stats = ComputeDatasetStats(boxes);
-  return Register(std::move(name), std::move(boxes), std::move(stats));
+  return AddEntry(std::move(name), std::move(boxes), std::move(stats));
 }
 
 DatasetHandle DatasetCatalog::Register(std::string name, Dataset boxes,
+                                       DatasetStats stats) {
+  CheckApplicableBoxes(name, boxes);
+  return AddEntry(std::move(name), std::move(boxes), std::move(stats));
+}
+
+DatasetHandle DatasetCatalog::AddEntry(std::string name, Dataset boxes,
                                        DatasetStats stats) {
   auto entry = std::make_unique<Entry>();
   entry->name = std::move(name);

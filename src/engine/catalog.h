@@ -44,11 +44,11 @@ struct DatasetStats {
   Vec3 avg_object_extent{0, 0, 0};
   /// Objects per unit volume of `extent` (0 when the extent is degenerate).
   double density = 0;
-  /// Center-count histogram over `extent` (resolution^3 cells, x-major like
-  /// SelectivityEstimator) — the planner's skew signal and, pair-combined
-  /// with another dataset's histogram (CombineHistograms), its plan-time
-  /// selectivity estimate. The default resolution matches the planner's
-  /// combine grid so pair-combination loses no detail it could use.
+  /// Center-count histogram over `extent` (resolution^3 cells, x-major) —
+  /// the planner's skew signal and, pair-combined with another dataset's
+  /// histogram (CombineHistograms), its plan-time selectivity estimate. The
+  /// default resolution matches the combine grid so pair-combination loses
+  /// no detail it could use.
   int histogram_resolution = 0;
   std::vector<uint32_t> histogram;
 
@@ -61,14 +61,28 @@ struct DatasetStats {
   double HistogramSkew() const;
 };
 
+/// Cells per axis of a registration histogram by default, and of the joint
+/// grid CombineHistograms pair-combines two histograms on.
+inline constexpr int kHistogramResolution = 32;
+
 /// Computes the stats of one dataset (exposed for tests and tools).
-DatasetStats ComputeDatasetStats(std::span<const Box> boxes,
-                                 int histogram_resolution = 32);
+DatasetStats ComputeDatasetStats(
+    std::span<const Box> boxes,
+    int histogram_resolution = kHistogramResolution);
+
+/// Grid resolution capped so cells stay ~4x larger than `max_avg_edge` on
+/// an axis of length `min_extent` — the paper's section-5.2.2 rule, shared
+/// by CombineHistograms and the planner's grid sizing. Returns `max_res`
+/// when the edge is non-positive; the ratio is compared in float before any
+/// int conversion (tiny objects in a huge domain overflow int, which is UB).
+int CellSizeCappedResolution(float min_extent, float max_avg_edge,
+                             int max_res);
 
 /// Throws std::invalid_argument naming `dataset` and the index of the first
 /// box IsApplicableBox rejects (a NaN coordinate or lo > hi on some axis).
-/// The engines call it before any other registration work, so stats, shard
-/// partitions and trees never see such a box.
+/// DatasetCatalog::Register calls it before any other registration work,
+/// and the sharded engine before partitioning, so stats, shard partitions
+/// and trees never see such a box.
 void CheckApplicableBoxes(std::string_view dataset,
                           std::span<const Box> boxes);
 
@@ -87,16 +101,18 @@ struct PairEstimate {
 };
 
 /// Pair-combines two datasets' registration-time histograms into a join
-/// estimate, without touching raw geometry: each per-dataset center
+/// estimate, without touching raw geometry — the repo's one selectivity
+/// model, in the spirit of the R-tree cost model the paper's selectivity
+/// metric references (Aref & Samet, GIS'94). Each per-dataset center
 /// histogram is resampled onto a shared grid over the joint extent (counts
-/// spread volume-proportionally across overlapping cells), then the same
-/// center-offset probability model as SelectivityEstimator
-/// (AxisOverlapProbabilities) turns co-located mass into expected results.
-/// A distance join enlarges side `a` by `epsilon`. `resolution` is the
-/// target joint-grid cells per axis, clamped so cells stay larger than the
-/// average object. O(resolution^3), independent of dataset sizes.
+/// spread volume-proportionally across overlapping cells); a center-offset
+/// probability model then turns co-located mass into expected results. A
+/// distance join enlarges side `a` by `epsilon`. The joint grid has
+/// kHistogramResolution cells per axis, fewer when cells would not stay
+/// larger than the average object. O(kHistogramResolution^3), independent
+/// of dataset sizes. Expect the right order of magnitude, not exact counts.
 PairEstimate CombineHistograms(const DatasetStats& a, const DatasetStats& b,
-                               float epsilon, int resolution = 32);
+                               float epsilon);
 
 /// Byte-serialization of DatasetStats, so stats can travel without their
 /// geometry (e.g. a future sharded catalog exchanging planning metadata
@@ -183,13 +199,15 @@ using DatasetSnapshotPtr = std::shared_ptr<const DatasetSnapshot>;
 /// deployments must use snapshot().
 class DatasetCatalog {
  public:
+  /// Both overloads throw std::invalid_argument (CheckApplicableBoxes)
+  /// before registering anything when a box is NaN or inverted.
   DatasetHandle Register(std::string name, Dataset boxes) EXCLUDES(mutex_);
 
   /// Registers with stats the caller already computed — the partition API's
   /// entry point: the sharded catalog computes each shard's stats once (to
   /// serialize them for central planning) and must not pay a second
-  /// registration scan here. `stats` must describe `boxes` exactly; nothing
-  /// is verified.
+  /// stats scan here. `stats` must describe `boxes` exactly; they are not
+  /// verified.
   DatasetHandle Register(std::string name, Dataset boxes, DatasetStats stats)
       EXCLUDES(mutex_);
 
@@ -278,6 +296,8 @@ class DatasetCatalog {
   };
 
   Entry* entry(DatasetHandle handle) const EXCLUDES(mutex_);
+  DatasetHandle AddEntry(std::string name, Dataset boxes, DatasetStats stats)
+      EXCLUDES(mutex_);
   static void EnsureDynamicLocked(Entry& e) REQUIRES(e.m);
   static void RebuildStatsLocked(Entry& e, DatasetStats* stats) REQUIRES(e.m);
 

@@ -730,13 +730,11 @@ QueryEngine::~QueryEngine() {
 }
 
 DatasetHandle QueryEngine::RegisterDataset(std::string name, Dataset boxes) {
-  CheckApplicableBoxes(name, boxes);
   return catalog_.Register(std::move(name), std::move(boxes));
 }
 
 DatasetHandle QueryEngine::RegisterDataset(std::string name, Dataset boxes,
                                            DatasetStats stats) {
-  CheckApplicableBoxes(name, boxes);
   return catalog_.Register(std::move(name), std::move(boxes),
                            std::move(stats));
 }
@@ -851,8 +849,7 @@ void QueryEngine::RecordOutcome(const JoinRequest& request,
   outcome.estimated_results =
       result.plan.expected_results != 0
           ? result.plan.expected_results
-          : CombineHistograms(stats_a, stats_b, request.epsilon,
-                              options_.planner.estimator_resolution)
+          : CombineHistograms(stats_a, stats_b, request.epsilon)
                 .expected_results;
   outcome.build_seconds = result.stats.build_seconds;
   outcome.probe_seconds =

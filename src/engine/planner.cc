@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "engine/calibration.h"
-#include "estimate/selectivity.h"
 #include "util/format.h"
 
 namespace touch {
@@ -19,6 +18,18 @@ int DomainResolution(const Box& domain, float avg_edge, int max_res) {
   const Vec3 extent = domain.Extent();
   return CellSizeCappedResolution(std::min({extent.x, extent.y, extent.z}),
                                   avg_edge, max_res);
+}
+
+/// TOUCH's variant skips zero-extent axes: its grid is sized per node and
+/// per axis, so a flat axis keeps one cell whatever the cap, and capping by
+/// it would collapse the whole grid of 2-D data to one cell.
+int TouchDomainResolution(const Box& domain, float avg_edge, int max_res) {
+  const Vec3 extent = domain.Extent();
+  float tightest = 0;
+  for (const float axis : {extent.x, extent.y, extent.z}) {
+    if (axis > 0 && (tightest == 0 || axis < tightest)) tightest = axis;
+  }
+  return CellSizeCappedResolution(tightest, avg_edge, max_res);
 }
 
 float MaxComponent(const Vec3& v) { return std::max({v.x, v.y, v.z}); }
@@ -104,8 +115,7 @@ JoinPlan Planner::Plan(const DatasetStats& stats_a, const DatasetStats& stats_b,
   // Beyond the tiny-input regime, plans are cost-based: pair-combine the
   // per-dataset histograms registration already paid for. No raw geometry
   // is touched — this overload cannot even reach it.
-  const PairEstimate estimate = CombineHistograms(
-      stats_a, stats_b, epsilon, options_.estimator_resolution);
+  const PairEstimate estimate = CombineHistograms(stats_a, stats_b, epsilon);
   plan.expected_results = estimate.expected_results;
   plan.expected_selectivity = estimate.selectivity;
 
@@ -154,7 +164,8 @@ JoinPlan Planner::Plan(const DatasetStats& stats_a, const DatasetStats& stats_b,
   const auto make_touch = [&]() {
     JoinPlan candidate = base;
     candidate.algorithm = "touch";
-    candidate.build_on_a = size_a <= size_b;  // SelectivityEstimator::ShouldBuildOnA
+    // The smaller dataset is the sparser one and builds the tree (5.2.3).
+    candidate.build_on_a = size_a <= size_b;
     const size_t build_count = candidate.build_on_a ? size_a : size_b;
     candidate.touch.partitions = std::clamp<size_t>(
         build_count / std::max<size_t>(1, options_.touch_leaf_target), 16,
@@ -169,7 +180,7 @@ JoinPlan Planner::Plan(const DatasetStats& stats_a, const DatasetStats& stats_b,
     const float raw_edge = std::min(MaxComponent(stats_a.avg_object_extent),
                                     MaxComponent(stats_b.avg_object_extent));
     candidate.touch.grid_resolution =
-        DomainResolution(joint, raw_edge, 500);
+        TouchDomainResolution(joint, raw_edge, 500);
     return candidate;
   };
   const auto make_pbsm = [&]() {

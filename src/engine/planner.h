@@ -95,10 +95,6 @@ struct PlannerOptions {
   size_t pbsm_max_objects = 400000;
   /// Target objects per TOUCH leaf; sets the partition count.
   size_t touch_leaf_target = 96;
-  /// Joint-grid cells per axis the per-dataset histograms are pair-combined
-  /// on at plan time (CombineHistograms; clamped so cells stay larger than
-  /// the average object). Planning never rescans raw geometry.
-  int estimator_resolution = 32;
 };
 
 /// Cost-based planner: stats in, explainable plan out. Stateless apart from
@@ -106,7 +102,7 @@ struct PlannerOptions {
 ///
 /// Planning consumes only registration-time DatasetStats (pair-combined
 /// histograms, extents, cardinalities) — never the datasets' geometry — so a
-/// plan costs O(estimator_resolution^3) regardless of dataset sizes. When a
+/// plan costs O(kHistogramResolution^3) regardless of dataset sizes. When a
 /// CalibrationSnapshot is supplied (the engine's measured-run feedback), the
 /// planner predicts each eligible candidate's cold cost from the fitted
 /// models and overrides the static choice once at least two families —

@@ -446,15 +446,13 @@ TEST_F(QueryEngineTest, OutcomesRecordThePinnedVersionAndPlanEstimate) {
   const DatasetSnapshotPtr now_a = engine.catalog().snapshot(a);
   EXPECT_EQ(outcomes[1].objects, now_a->stats.count + large_.size());
   EXPECT_EQ(outcomes[1].estimated_results,
-            CombineHistograms(now_a->stats, pinned_b->stats, request.epsilon,
-                              engine.options().planner.estimator_resolution)
+            CombineHistograms(now_a->stats, pinned_b->stats, request.epsilon)
                 .expected_results);
   EXPECT_GT(outcomes[1].estimated_results, 0);
   // The first outcome's estimate was not recomputed on the mutated stats.
   EXPECT_EQ(outcomes[0].estimated_results,
             CombineHistograms(pinned_a->stats, pinned_b->stats,
-                              request.epsilon,
-                              engine.options().planner.estimator_resolution)
+                              request.epsilon)
                 .expected_results);
 }
 

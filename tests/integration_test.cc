@@ -14,7 +14,7 @@
 #include "core/factory.h"
 #include "datagen/distributions.h"
 #include "datagen/neuro.h"
-#include "estimate/selectivity.h"
+#include "engine/catalog.h"
 #include "io/dataset_io.h"
 #include "refine/refine.h"
 #include "test_util.h"
@@ -160,19 +160,20 @@ TEST(IntegrationTest, PrebuiltIndexSharedAcrossJoins) {
 }
 
 TEST(IntegrationTest, EstimatorGuidesRealJoin) {
-  // The planner loop: estimate, choose order, run, verify the estimate was
-  // in the advertised 3x band of reality.
+  // The planner loop: estimate from registration-time stats, build on the
+  // smaller side, run, verify the estimate was in a 3x band of reality.
   const Dataset a = GenerateSynthetic(Distribution::kGaussian, 3000, 216);
   const Dataset b = GenerateSynthetic(Distribution::kGaussian, 6000, 217);
   constexpr float kEpsilon = 5.0f;
 
-  const SelectivityEstimator estimator(a, b);
-  const double predicted = estimator.Estimate(kEpsilon).expected_results;
+  const double predicted =
+      CombineHistograms(ComputeDatasetStats(a), ComputeDatasetStats(b),
+                        kEpsilon)
+          .expected_results;
 
   TouchOptions opt;
-  opt.join_order = SelectivityEstimator::ShouldBuildOnA(a, b)
-                       ? TouchOptions::JoinOrder::kBuildOnA
-                       : TouchOptions::JoinOrder::kBuildOnB;
+  opt.join_order = a.size() <= b.size() ? TouchOptions::JoinOrder::kBuildOnA
+                                        : TouchOptions::JoinOrder::kBuildOnB;
   TouchJoin join(opt);
   CountingCollector out;
   const JoinStats stats = DistanceJoin(join, a, b, kEpsilon, out);

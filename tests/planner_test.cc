@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "datagen/distributions.h"
-#include "estimate/selectivity.h"
 #include "test_util.h"
 
 namespace touch {
@@ -104,23 +103,34 @@ TEST_F(PlannerTest, ClusteredInputsPlanTouch) {
   EXPECT_GT(plan.expected_results, 0);
 }
 
-TEST_F(PlannerTest, TouchBuildSideAgreesWithShouldBuildOnA) {
+// 2-D data (every z extent zero) must not collapse TOUCH's grid to one cell:
+// the grid cap is taken over the axes that have an extent.
+TEST_F(PlannerTest, FlatInputsKeepAFineTouchGrid) {
+  const auto add_flat = [&](size_t count, uint64_t seed) {
+    Dataset boxes = GenerateSynthetic(Distribution::kClustered, count, seed);
+    for (Box& box : boxes) box.lo.z = box.hi.z = 0.0f;
+    return catalog_.Register("flat" + std::to_string(seed), std::move(boxes));
+  };
+  const DatasetHandle a = add_flat(30000, 40);
+  const DatasetHandle b = add_flat(60000, 41);
+  const JoinPlan plan = planner_.Plan(catalog_, {a, b, 1.0f});
+  ASSERT_EQ(plan.algorithm, "touch") << plan.rationale;
+  EXPECT_GT(plan.touch.grid_resolution, 1) << plan.ToString();
+}
+
+// Paper section 5.2.3: the smaller (sparser) dataset builds the tree,
+// whichever side of the request it is on.
+TEST_F(PlannerTest, TouchBuildsOnTheSmallerDataset) {
   const DatasetHandle small = Add(Distribution::kClustered, 30000, 12);
   const DatasetHandle large = Add(Distribution::kClustered, 60000, 13);
 
   const JoinPlan forward = planner_.Plan(catalog_, {small, large, 1.0f});
   ASSERT_EQ(forward.algorithm, "touch");
-  EXPECT_EQ(forward.build_on_a,
-            SelectivityEstimator::ShouldBuildOnA(catalog_.boxes(small),
-                                                 catalog_.boxes(large)));
   EXPECT_TRUE(forward.build_on_a);
   EXPECT_EQ(forward.touch.join_order, TouchOptions::JoinOrder::kBuildOnA);
 
   const JoinPlan reversed = planner_.Plan(catalog_, {large, small, 1.0f});
   ASSERT_EQ(reversed.algorithm, "touch");
-  EXPECT_EQ(reversed.build_on_a,
-            SelectivityEstimator::ShouldBuildOnA(catalog_.boxes(large),
-                                                 catalog_.boxes(small)));
   EXPECT_FALSE(reversed.build_on_a);
   EXPECT_EQ(reversed.touch.join_order, TouchOptions::JoinOrder::kBuildOnB);
 }
