@@ -340,8 +340,9 @@ void RegisterKernelBenches() {
     })->Unit(benchmark::kMillisecond)->Iterations(1);
   };
 
-  // Position-list gathers: the TOUCH grid local join testing a probe box
-  // against a cell's occupant list (shuffled, non-contiguous positions).
+  // Position-list gathers: the TOUCH grid local join testing a build box
+  // against a row of cells' occupant list (shuffled, non-contiguous
+  // positions). Hits are indices into the list; only their count is used.
   const auto register_gather = [=](const std::string& name,
                                    simd::Level level) {
     benchmark::RegisterBenchmark(name.c_str(), [=](benchmark::State& state) {

@@ -216,10 +216,11 @@ int ClassifyOverlapsScalar(const BoxSlab& slab, size_t begin, size_t end,
                            uint64_t* examined);
 
 /// Gather variant for the TOUCH grid local join: candidates are the slab
-/// positions listed in `positions` (a cell's occupants, any order). Appends
-/// the *positions values* that overlap, in list order. Returns
-/// positions.size() (every occupant is one comparison, as in the scalar
-/// cell loop).
+/// positions listed in `positions` (the occupants of a row of cells, any
+/// order). Appends the ascending *indices into `positions`* whose boxes
+/// overlap, so the caller knows which list entry (and so which cell) hit.
+/// Returns positions.size() (every occupant is one comparison, as in the
+/// scalar cell loop).
 size_t CollectOverlapsGather(const BoxSlab& slab,
                              std::span<const uint32_t> positions,
                              const Box& query, std::vector<uint32_t>& hits);

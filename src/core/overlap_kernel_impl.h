@@ -246,16 +246,12 @@ size_t GatherImpl(const BoxSlab& slab, std::span<const uint32_t> positions,
     m = _mm256_and_ps(
         m, _mm256_cmp_ps(_mm256_i32gather_ps(slab.lo_z(), idx, 4), q.hi_z,
                          _CMP_LE_OQ));
-    uint32_t mask = static_cast<uint32_t>(_mm256_movemask_ps(m));
-    while (mask != 0) {
-      const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-      hits.push_back(positions[i + lane]);
-      mask &= mask - 1;
-    }
+    const uint32_t mask = static_cast<uint32_t>(_mm256_movemask_ps(m));
+    EmitMask(mask, i, hits);
   }
   for (; i < n; ++i) {
     if (SlabOverlapScalar(slab, positions[i], query)) {
-      hits.push_back(positions[i]);
+      hits.push_back(static_cast<uint32_t>(i));
     }
   }
   return n;
@@ -265,8 +261,10 @@ size_t GatherImpl(const BoxSlab& slab, std::span<const uint32_t> positions,
 
 size_t GatherImpl(const BoxSlab& slab, std::span<const uint32_t> positions,
                   const Box& query, std::vector<uint32_t>& hits) {
-  for (const uint32_t pos : positions) {
-    if (SlabOverlapScalar(slab, pos, query)) hits.push_back(pos);
+  for (size_t i = 0; i < positions.size(); ++i) {
+    if (SlabOverlapScalar(slab, positions[i], query)) {
+      hits.push_back(static_cast<uint32_t>(i));
+    }
   }
   return positions.size();
 }

@@ -72,11 +72,6 @@ struct CellGrid {
   std::vector<uint32_t> offsets;  // cells + 1 entries
   std::vector<uint32_t> ids;      // one entry per placement
   std::vector<CellRange> ranges;  // scatter scratch: each entity's cells
-
-  std::span<const uint32_t> Occupants(uint64_t cell) const {
-    return std::span<const uint32_t>(ids).subspan(
-        offsets[cell], offsets[cell + 1] - offsets[cell]);
-  }
 };
 
 // Calls visit(cell) for every cell index in `range` of a grid whose x and y
@@ -103,6 +98,8 @@ struct alignas(64) WorkerContext {
   CellGrid grid;
   uint64_t grid_placements = 0;  // summed over the nodes this slot scattered
   size_t max_placements = 0;     // largest of those nodes' ids
+  uint64_t grid_rows = 0;        // (x, y) rows the item probes visited
+  uint64_t grid_rows_empty = 0;  // of those, rows with no occupant
   std::vector<uint32_t> descent_stack;
   std::vector<uint32_t> hits;
 };
@@ -531,26 +528,39 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
       const CellRange range = grid.RangeOf(build_box);
       for (int x = range.lo.x; x <= range.hi.x; ++x) {
         for (int y = range.lo.y; y <= range.hi.y; ++y) {
-          const uint64_t base = static_cast<uint64_t>(x) * stride_x +
+          // Cells lo.z..hi.z of this (x, y) row are adjacent in the CSR, so
+          // their occupants are one slice: z ascending, each cell's probe
+          // ids in entity order. One gather tests the item against the
+          // whole slice and counts one comparison per occupant, as the
+          // per-cell loop did.
+          const uint32_t* row = cells.offsets.data() +
+                                static_cast<uint64_t>(x) * stride_x +
                                 static_cast<uint64_t>(y) * stride_y;
-          for (int z = range.lo.z; z <= range.hi.z; ++z) {
-            // The cell's occupants are probe ids in entity order; the
-            // gather kernel tests them against this item in that order
-            // and counts one comparison per occupant, like the scalar
-            // loop it replaces.
-            const std::span<const uint32_t> occupants =
-                cells.Occupants(base + static_cast<uint64_t>(z));
-            if (occupants.empty()) continue;
-            ctx.hits.clear();
-            ctx.stats.comparisons += CollectOverlapsGather(
-                probe_slab, occupants, build_box, ctx.hits);
-            for (const uint32_t probe_id : ctx.hits) {
-              const Box probe_box = probe_slab.BoxAt(probe_id);
-              const CellCoord home =
-                  grid.CellOf(ReferencePoint(build_box, probe_box));
-              if (home.x == x && home.y == y && home.z == z) {
-                emit(build_id, probe_id);
-              }
+          const uint32_t begin = row[range.lo.z];
+          const uint32_t end = row[range.hi.z + 1];
+          ++ctx.grid_rows;
+          if (begin == end) {
+            ++ctx.grid_rows_empty;
+            continue;
+          }
+          ctx.hits.clear();
+          ctx.stats.comparisons += CollectOverlapsGather(
+              probe_slab,
+              std::span<const uint32_t>(cells.ids).subspan(begin, end - begin),
+              build_box, ctx.hits);
+          // A probe object spanning several cells of the row occurs once
+          // per cell; only its occurrence in the cell holding the pair's
+          // reference point emits. That point lies in both boxes and CellOf
+          // is monotone, so the cell is one the object occupies in this
+          // row: each pair is emitted once, in the per-cell loop's order.
+          for (const uint32_t index : ctx.hits) {
+            const uint32_t at = begin + index;
+            const uint32_t probe_id = cells.ids[at];
+            const CellCoord home = grid.CellOf(
+                ReferencePoint(build_box, probe_slab.BoxAt(probe_id)));
+            if (home.x == x && home.y == y && row[home.z] <= at &&
+                at < row[home.z + 1]) {
+              emit(build_id, probe_id);
             }
           }
         }
@@ -671,10 +681,14 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   // offsets array plus its largest ids array. Maxima over the slots do not
   // depend on how the nodes were spread over threads.
   uint64_t grid_placements = 0;
+  uint64_t grid_rows = 0;
+  uint64_t grid_rows_empty = 0;
   size_t max_placements = 0;
   for (const WorkerContext& ctx : contexts) {
     stats.MergeCounters(ctx.stats);
     grid_placements += ctx.grid_placements;
+    grid_rows += ctx.grid_rows;
+    grid_rows_empty += ctx.grid_rows_empty;
     max_placements = std::max(max_placements, ctx.max_placements);
   }
   const size_t grid_bytes =
@@ -686,6 +700,8 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   local_join_span.AddAttr("helpers", std::to_string(helpers.count()));
   local_join_span.AddAttr("grid_nodes", std::to_string(grid_nodes));
   local_join_span.AddAttr("grid_placements", std::to_string(grid_placements));
+  local_join_span.AddAttr("grid_rows", std::to_string(grid_rows));
+  local_join_span.AddAttr("grid_rows_empty", std::to_string(grid_rows_empty));
   local_join_span.End();
 
   stats.memory_bytes = tree.MemoryUsageBytes() +

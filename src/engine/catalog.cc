@@ -30,20 +30,21 @@ double DatasetStats::HistogramSkew() const {
     for (const uint32_t cell : histogram) tally(cell);
   } else {
     constexpr int kCoarse = kSkewResolution;
-    const auto coarse_of = [res](int fine) {
-      return fine * kCoarse / res;  // 16 groups, sizes differing by <= 1
-    };
+    // 16 groups per axis, sizes differing by <= 1.
+    std::vector<int> coarse_of(static_cast<size_t>(res));
+    for (int fine = 0; fine < res; ++fine) {
+      coarse_of[static_cast<size_t>(fine)] = fine * kCoarse / res;
+    }
     std::vector<uint64_t> coarse(
         static_cast<size_t>(kCoarse) * kCoarse * kCoarse, 0);
+    const uint32_t* fine_cell = histogram.data();
     for (int x = 0; x < res; ++x) {
       for (int y = 0; y < res; ++y) {
-        for (int z = 0; z < res; ++z) {
-          coarse[(static_cast<size_t>(coarse_of(x)) * kCoarse +
-                  coarse_of(y)) *
-                     kCoarse +
-                 coarse_of(z)] +=
-              histogram[(static_cast<size_t>(x) * res + y) * res + z];
-        }
+        uint64_t* row = coarse.data() + (static_cast<size_t>(coarse_of[x]) *
+                                             kCoarse +
+                                         coarse_of[y]) *
+                                            kCoarse;
+        for (int z = 0; z < res; ++z) row[coarse_of[z]] += *fine_cell++;
       }
     }
     for (const uint64_t cell : coarse) tally(cell);
@@ -149,18 +150,36 @@ AxisProbabilities AxisOverlapProbabilities(double ea, double eb,
   return AxisProbabilities{2.0 * s - s * s, s * s / 2.0};
 }
 
-/// Per-axis fan-out of one source histogram cell onto the joint grid: the
-/// first overlapped target cell and the share of the source cell's extent
-/// falling into it and its successors. Shares sum to 1 per source cell, so
-/// resampling conserves total mass exactly.
+/// One axis of the resample from a dataset's own histogram grid onto the
+/// joint grid. Target slab j draws on source slabs [start[j], start[j] +
+/// band), and weights[k * dst_res + j] is the share of source slab
+/// start[j] + k's extent that falls into target slab j (zero when that slab
+/// misses j). Each source slab's shares sum to 1, so resampling conserves
+/// total mass exactly. One band width for every target keeps the passes'
+/// inner loops free of per-slab bounds.
 struct AxisSplit {
-  int first_target = 0;
-  std::vector<double> fractions;
+  int band = 1;
+  std::vector<int> start;
+  std::vector<double> weights;
+
+  const double* shares(int k) const {
+    return weights.data() + static_cast<size_t>(k) * start.size();
+  }
 };
 
-std::vector<AxisSplit> SplitAxis(float src_lo, float src_hi, int src_res,
-                                 float dst_lo, float dst_hi, int dst_res) {
-  std::vector<AxisSplit> splits(static_cast<size_t>(src_res));
+AxisSplit SplitAxis(float src_lo, float src_hi, int src_res, float dst_lo,
+                    float dst_hi, int dst_res) {
+  AxisSplit split;
+  split.start.assign(static_cast<size_t>(dst_res), 0);
+  if (src_res <= 0) {  // no histogram: every share is zero
+    split.weights.assign(static_cast<size_t>(dst_res), 0.0);
+    return split;
+  }
+  // Dense shares first: share[j * src_res + i] of source slab i in target j.
+  std::vector<double> share(static_cast<size_t>(src_res) * dst_res, 0.0);
+  const auto at = [&](int i, int j) -> double& {
+    return share[static_cast<size_t>(j) * src_res + i];
+  };
   const double src_w =
       (static_cast<double>(src_hi) - src_lo) / static_cast<double>(src_res);
   const double dst_w =
@@ -169,82 +188,135 @@ std::vector<AxisSplit> SplitAxis(float src_lo, float src_hi, int src_res,
     if (dst_w <= 0) return 0;
     return std::clamp(static_cast<int>((x - dst_lo) / dst_w), 0, dst_res - 1);
   };
+  const bool spread = src_w > 0 && dst_w > 0;
   for (int i = 0; i < src_res; ++i) {
-    AxisSplit& split = splits[static_cast<size_t>(i)];
     const double s0 = src_lo + i * src_w;
     const double s1 = s0 + src_w;
-    if (src_w <= 0 || dst_w <= 0) {
-      // Degenerate source or target axis: all mass sits at one coordinate.
-      split.first_target = dst_cell_of(s0);
-      split.fractions.assign(1, 1.0);
-      continue;
-    }
     const int j0 = dst_cell_of(s0);
-    const int j1 = std::max(j0, dst_cell_of(s1));
-    split.first_target = j0;
-    split.fractions.assign(static_cast<size_t>(j1 - j0 + 1), 0.0);
+    const int j1 = spread ? std::max(j0, dst_cell_of(s1)) : j0;
     double total = 0;
-    for (int j = j0; j <= j1; ++j) {
+    for (int j = j0; j <= j1 && spread; ++j) {
       const double t0 = dst_lo + j * dst_w;
       const double overlap = std::min(s1, t0 + dst_w) - std::max(s0, t0);
-      if (overlap > 0) split.fractions[static_cast<size_t>(j - j0)] = overlap;
-      total += std::max(0.0, overlap);
+      if (overlap > 0) {
+        at(i, j) = overlap;
+        total += overlap;
+      }
     }
     if (total > 0) {
-      for (double& fraction : split.fractions) fraction /= total;
+      for (int j = j0; j <= j1; ++j) at(i, j) /= total;
     } else {
-      split.fractions.assign(1, 1.0);
+      // A degenerate source or target axis: all mass at one coordinate.
+      at(i, j0) = 1.0;
     }
   }
-  return splits;
+  // Then each target's contributing source slabs, contiguous since splits
+  // are monotone; every band is widened to the widest.
+  std::vector<int> first(static_cast<size_t>(dst_res), 0);
+  std::vector<int> last(static_cast<size_t>(dst_res), -1);
+  for (size_t j = 0; j < first.size(); ++j) {
+    for (int i = 0; i < src_res; ++i) {
+      if (at(i, static_cast<int>(j)) <= 0) continue;
+      if (last[j] < 0) first[j] = i;
+      last[j] = i;
+    }
+    split.band = std::max(split.band, last[j] - first[j] + 1);
+  }
+  split.weights.assign(static_cast<size_t>(split.band) * dst_res, 0.0);
+  for (int j = 0; j < dst_res; ++j) {
+    const int start = std::min(first[j], src_res - split.band);
+    split.start[static_cast<size_t>(j)] = start;
+    for (int k = 0; k < split.band; ++k) {
+      split.weights[static_cast<size_t>(k) * dst_res + j] = at(start + k, j);
+    }
+  }
+  return split;
 }
 
-/// Spreads a dataset's center histogram (computed over its own extent at
-/// registration) onto `resolution`^3 cells of the joint `domain`, treating
-/// each source cell's count as uniformly distributed over the cell.
-std::vector<double> ResampleHistogram(const DatasetStats& stats,
-                                      const Box& domain, int resolution) {
-  std::vector<double> out(
-      static_cast<size_t>(resolution) * resolution * resolution, 0.0);
-  if (stats.count == 0 || stats.histogram.empty()) return out;
-  const int src_res = stats.histogram_resolution;
-  const std::vector<AxisSplit> sx =
-      SplitAxis(stats.extent.lo.x, stats.extent.hi.x, src_res, domain.lo.x,
-                domain.hi.x, resolution);
-  const std::vector<AxisSplit> sy =
-      SplitAxis(stats.extent.lo.y, stats.extent.hi.y, src_res, domain.lo.y,
-                domain.hi.y, resolution);
-  const std::vector<AxisSplit> sz =
-      SplitAxis(stats.extent.lo.z, stats.extent.hi.z, src_res, domain.lo.z,
-                domain.hi.z, resolution);
-  for (int x = 0; x < src_res; ++x) {
-    for (int y = 0; y < src_res; ++y) {
-      for (int z = 0; z < src_res; ++z) {
-        const uint32_t count =
-            stats.histogram[(static_cast<size_t>(x) * src_res + y) * src_res +
-                            z];
-        if (count == 0) continue;
-        for (size_t ix = 0; ix < sx[x].fractions.size(); ++ix) {
-          const double wx = count * sx[x].fractions[ix];
-          if (wx <= 0) continue;
-          const size_t jx = static_cast<size_t>(sx[x].first_target) + ix;
-          for (size_t iy = 0; iy < sy[y].fractions.size(); ++iy) {
-            const double wxy = wx * sy[y].fractions[iy];
-            if (wxy <= 0) continue;
-            const size_t jy = static_cast<size_t>(sy[y].first_target) + iy;
-            for (size_t iz = 0; iz < sz[z].fractions.size(); ++iz) {
-              const double wxyz = wxy * sz[z].fractions[iz];
-              if (wxyz <= 0) continue;
-              const size_t jz = static_cast<size_t>(sz[z].first_target) + iz;
-              out[(jx * resolution + jy) * resolution + jz] += wxyz;
-            }
-          }
+/// A dataset's center histogram (computed over its own extent at
+/// registration) spread onto `res`^3 cells of the joint `domain`, treating
+/// each source cell's count as uniformly distributed over the cell. A source
+/// cell's 3-D split is the product of its per-axis splits, so each target
+/// x-plane is three per-axis passes: mix the source x-planes, then spread y,
+/// then z. Planes are produced one at a time into small reused buffers.
+class ResampledHistogram {
+ public:
+  ResampledHistogram(const DatasetStats& stats, const Box& domain, int res)
+      : stats_(stats),
+        src_res_(stats.histogram_resolution),
+        res_(res),
+        x_(SplitAxis(stats.extent.lo.x, stats.extent.hi.x, src_res_,
+                     domain.lo.x, domain.hi.x, res)),
+        y_(SplitAxis(stats.extent.lo.y, stats.extent.hi.y, src_res_,
+                     domain.lo.y, domain.hi.y, res)),
+        z_(SplitAxis(stats.extent.lo.z, stats.extent.hi.z, src_res_,
+                     domain.lo.z, domain.hi.z, res)),
+        mixed_(static_cast<size_t>(src_res_) * src_res_),
+        rows_(static_cast<size_t>(res) * src_res_) {}
+
+  /// Writes target x-plane `jx` (res^2 cells, y-major) to `plane`. Each
+  /// pass's first band term assigns and the others add, so no buffer needs
+  /// clearing (0 + v == v for the non-negative terms here).
+  void Plane(int jx, double* plane) {
+    const size_t src = static_cast<size_t>(src_res_);
+    const size_t res = static_cast<size_t>(res_);
+    // x: mixed_[y][z] = sum over x of counts[x][y][z] * share(x -> jx).
+    bool any = false;
+    for (int k = 0; k < x_.band && !stats_.histogram.empty(); ++k) {
+      const double w = x_.shares(k)[jx];
+      if (w == 0) continue;
+      const uint32_t* counts =
+          stats_.histogram.data() + (x_.start[jx] + k) * src * src;
+      if (any) {
+        for (size_t yz = 0; yz < src * src; ++yz) mixed_[yz] += w * counts[yz];
+      } else {
+        for (size_t yz = 0; yz < src * src; ++yz) mixed_[yz] = w * counts[yz];
+      }
+      any = true;
+    }
+    if (!any) {
+      std::fill(plane, plane + res * res, 0.0);
+      return;
+    }
+    // y: rows_[jy][z] = sum over y of mixed_[y][z] * share(y -> jy).
+    for (int k = 0; k < y_.band; ++k) {
+      const double* wy = y_.shares(k);
+      for (size_t jy = 0; jy < res; ++jy) {
+        const double* in = mixed_.data() + (y_.start[jy] + k) * src;
+        double* out = rows_.data() + jy * src;
+        if (k == 0) {
+          for (size_t z = 0; z < src; ++z) out[z] = wy[jy] * in[z];
+        } else {
+          for (size_t z = 0; z < src; ++z) out[z] += wy[jy] * in[z];
+        }
+      }
+    }
+    // z: plane[jy][jz] = sum over z of rows_[jy][z] * share(z -> jz).
+    const int* first = z_.start.data();
+    for (int k = 0; k < z_.band; ++k) {
+      const double* wz = z_.shares(k);
+      for (size_t jy = 0; jy < res; ++jy) {
+        const double* in = rows_.data() + jy * src + k;
+        double* out = plane + jy * res;
+        if (k == 0) {
+          for (size_t jz = 0; jz < res; ++jz) out[jz] = wz[jz] * in[first[jz]];
+        } else {
+          for (size_t jz = 0; jz < res; ++jz) out[jz] += wz[jz] * in[first[jz]];
         }
       }
     }
   }
-  return out;
-}
+
+ private:
+  const DatasetStats& stats_;
+  int src_res_;
+  int res_;
+  AxisSplit x_;
+  AxisSplit y_;
+  AxisSplit z_;
+  std::vector<double> mixed_;  // src^2: the mixed source plane
+  std::vector<double> rows_;   // res x src: after the y pass
+};
 
 }  // namespace
 
@@ -268,9 +340,6 @@ PairEstimate CombineHistograms(const DatasetStats& a, const DatasetStats& b,
       CellSizeCappedResolution(std::min({extent.x, extent.y, extent.z}),
                                max_avg, kHistogramResolution);
 
-  const std::vector<double> ha = ResampleHistogram(a, domain, res);
-  const std::vector<double> hb = ResampleHistogram(b, domain, res);
-
   const double cell_edge[3] = {extent.x / static_cast<double>(res),
                                extent.y / static_cast<double>(res),
                                extent.z / static_cast<double>(res)};
@@ -287,38 +356,76 @@ PairEstimate CombineHistograms(const DatasetStats& a, const DatasetStats& b,
 
   // Sum hA(c) * hB(c + d) over all cells and the 27 offsets d in {-1,0,1}^3,
   // weighting each offset by the product of per-axis probabilities, over
-  // the resampled (fractional) counts.
-  const auto b_count_at = [&](int x, int y, int z) -> double {
-    if (x < 0 || y < 0 || z < 0 || x >= res || y >= res || z >= res) return 0;
-    return hb[(static_cast<size_t>(x) * res + y) * res + z];
+  // the resampled (fractional) counts. The weight is separable, so B is
+  // smoothed by three 3-tap passes: z and y within each x-plane, then x
+  // across the previous, current and next planes, fused with the product.
+  const size_t res_u = static_cast<size_t>(res);
+  const size_t plane_cells = res_u * res_u;
+  // Planes: A's, B's raw and z-smoothed scratch, B smoothed at x-1, x, x+1;
+  // then one zero row.
+  std::vector<double> planes(6 * plane_cells + res_u);
+  const double* zero_row = planes.data() + 6 * plane_cells;
+  double* a_plane = planes.data();
+  double* b_raw = a_plane + plane_cells;
+  double* b_z = b_raw + plane_cells;
+  double* b_prev = b_z + plane_cells;
+  double* b_cur = b_prev + plane_cells;
+  double* b_next = b_cur + plane_cells;
+  ResampledHistogram ha(a, domain, res);
+  ResampledHistogram hb(b, domain, res);
+  const auto smoothed_b = [&](int x, double* out) {
+    hb.Plane(x, b_raw);
+    // z: interior cells have both neighbours, the end cells see zero beyond
+    // the grid.
+    for (size_t y = 0; y < res_u; ++y) {
+      const double* in = b_raw + y * res_u;
+      double* row = b_z + y * res_u;
+      for (size_t z = 1; z + 1 < res_u; ++z) {
+        row[z] = p[2].same * in[z] + p[2].adjacent * (in[z - 1] + in[z + 1]);
+      }
+      row[0] = p[2].same * in[0] + p[2].adjacent * (res_u > 1 ? in[1] : 0.0);
+      if (res_u > 1) {
+        row[res_u - 1] =
+            p[2].same * in[res_u - 1] + p[2].adjacent * in[res_u - 2];
+      }
+    }
+    // y: a zero row stands in beyond the grid.
+    for (size_t y = 0; y < res_u; ++y) {
+      const double* in = b_z + y * res_u;
+      const double* below = y > 0 ? in - res_u : zero_row;
+      const double* above = y + 1 < res_u ? in + res_u : zero_row;
+      double* row = out + y * res_u;
+      for (size_t z = 0; z < res_u; ++z) {
+        row[z] = p[1].same * in[z] + p[1].adjacent * (below[z] + above[z]);
+      }
+    }
   };
+
   double expected = 0;
   double peak = 0;
   size_t occupied = 0;
+  smoothed_b(0, b_cur);
   for (int x = 0; x < res; ++x) {
-    for (int y = 0; y < res; ++y) {
-      for (int z = 0; z < res; ++z) {
-        const double a_count =
-            ha[(static_cast<size_t>(x) * res + y) * res + z];
-        if (a_count <= 0) continue;
-        double b_weighted = 0;
-        for (int dx = -1; dx <= 1; ++dx) {
-          const double px = dx == 0 ? p[0].same : p[0].adjacent;
-          for (int dy = -1; dy <= 1; ++dy) {
-            const double py = dy == 0 ? p[1].same : p[1].adjacent;
-            for (int dz = -1; dz <= 1; ++dz) {
-              const double pz = dz == 0 ? p[2].same : p[2].adjacent;
-              b_weighted += px * py * pz * b_count_at(x + dx, y + dy, z + dz);
-            }
-          }
-        }
-        const double contribution = a_count * b_weighted;
-        if (contribution <= 0) continue;
-        expected += contribution;
-        peak = std::max(peak, contribution);
-        ++occupied;
-      }
+    if (x + 1 < res) {
+      smoothed_b(x + 1, b_next);
+    } else {
+      std::fill(b_next, b_next + plane_cells, 0.0);
     }
+    ha.Plane(x, a_plane);
+    for (size_t cell = 0; cell < plane_cells; ++cell) {
+      const double a_count = a_plane[cell];
+      if (a_count <= 0) continue;
+      const double b_weighted =
+          p[0].same * b_cur[cell] +
+          p[0].adjacent * (b_prev[cell] + b_next[cell]);
+      const double contribution = a_count * b_weighted;
+      if (contribution <= 0) continue;
+      expected += contribution;
+      peak = std::max(peak, contribution);
+      ++occupied;
+    }
+    std::swap(b_prev, b_cur);
+    std::swap(b_cur, b_next);
   }
 
   estimate.expected_results = expected;

@@ -19,22 +19,6 @@ GridMapper::GridMapper(const Box& domain, int res_x, int res_y, int res_z)
   }
 }
 
-CellCoord GridMapper::CellOf(const Vec3& p) const {
-  CellCoord c;
-  const float rel[3] = {p.x - domain_.lo.x, p.y - domain_.lo.y,
-                        p.z - domain_.lo.z};
-  int* out[3] = {&c.x, &c.y, &c.z};
-  for (int axis = 0; axis < 3; ++axis) {
-    const int idx = static_cast<int>(std::floor(rel[axis] * inv_w_[axis]));
-    *out[axis] = std::clamp(idx, 0, res_[axis] - 1);
-  }
-  return c;
-}
-
-CellRange GridMapper::RangeOf(const Box& box) const {
-  return CellRange{CellOf(box.lo), CellOf(box.hi)};
-}
-
 Box GridMapper::CellBounds(const CellCoord& c) const {
   const Vec3 lo(domain_.lo.x + static_cast<float>(c.x) * cell_w_[0],
                 domain_.lo.y + static_cast<float>(c.y) * cell_w_[1],

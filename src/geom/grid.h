@@ -1,6 +1,8 @@
 #ifndef TOUCH_GEOM_GRID_H_
 #define TOUCH_GEOM_GRID_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "geom/box.h"
@@ -54,11 +56,18 @@ class GridMapper {
     return static_cast<uint64_t>(res_[0]) * res_[1] * res_[2];
   }
 
-  /// Cell containing a point (clamped into the grid).
-  CellCoord CellOf(const Vec3& p) const;
+  /// Cell containing a point (clamped into the grid). Inline: the local
+  /// joins call it once per candidate hit.
+  CellCoord CellOf(const Vec3& p) const {
+    return CellCoord{AxisCell(p.x - domain_.lo.x, 0),
+                     AxisCell(p.y - domain_.lo.y, 1),
+                     AxisCell(p.z - domain_.lo.z, 2)};
+  }
 
   /// Inclusive range of cells a box overlaps (clamped into the grid).
-  CellRange RangeOf(const Box& box) const;
+  CellRange RangeOf(const Box& box) const {
+    return CellRange{CellOf(box.lo), CellOf(box.hi)};
+  }
 
   /// Geometric bounds of one cell.
   Box CellBounds(const CellCoord& c) const;
@@ -78,6 +87,11 @@ class GridMapper {
   }
 
  private:
+  int AxisCell(float rel, int axis) const {
+    const int idx = static_cast<int>(std::floor(rel * inv_w_[axis]));
+    return std::clamp(idx, 0, res_[axis] - 1);
+  }
+
   Box domain_;
   int res_[3];
   float cell_w_[3];   // cell width per axis

@@ -108,12 +108,16 @@ TEST(BoxSlabTest, TailPaddingProducesNoPhantomOverlaps) {
     ASSERT_EQ(hits.size(), n) << "phantom or dropped hits at size " << n;
     for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i], i);
 
-    // The gather path with every position listed must agree.
+    // The gather path with every position listed, in reverse, must agree:
+    // every list index hits, in list order.
     std::vector<uint32_t> all_positions;
-    for (uint32_t i = 0; i < n; ++i) all_positions.push_back(i);
+    for (size_t i = n; i-- > 0;) {
+      all_positions.push_back(static_cast<uint32_t>(i));
+    }
     hits.clear();
     CollectOverlapsGather(slab, all_positions, everything, hits);
-    EXPECT_EQ(hits.size(), n);
+    ASSERT_EQ(hits.size(), n);
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i], i);
   }
 }
 

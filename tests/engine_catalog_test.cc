@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -187,6 +189,266 @@ TEST(PairEstimateTest, ClusteringRaisesPairSkew) {
           GenerateSynthetic(Distribution::kClustered, 20000, 34)),
       2.0f);
   EXPECT_GT(clustered.pair_skew, uniform.pair_skew);
+}
+
+// --- Reference: the estimate as a direct 27-offset stencil ------------------
+
+/// The per-cell resample and 27-offset stencil CombineHistograms computes by
+/// separable passes, written out directly: every source cell is split over
+/// the joint cells it overlaps, and every A cell sums its 27 neighbours of B
+/// weighted by the product of per-axis overlap probabilities.
+struct ReferenceSplit {
+  int first_target = 0;
+  std::vector<double> fractions;
+};
+
+std::vector<ReferenceSplit> ReferenceSplitAxis(float src_lo, float src_hi,
+                                               int src_res, float dst_lo,
+                                               float dst_hi, int dst_res) {
+  std::vector<ReferenceSplit> splits(static_cast<size_t>(src_res));
+  const double src_w =
+      (static_cast<double>(src_hi) - src_lo) / static_cast<double>(src_res);
+  const double dst_w =
+      (static_cast<double>(dst_hi) - dst_lo) / static_cast<double>(dst_res);
+  const auto dst_cell_of = [&](double x) {
+    if (dst_w <= 0) return 0;
+    return std::clamp(static_cast<int>((x - dst_lo) / dst_w), 0, dst_res - 1);
+  };
+  for (int i = 0; i < src_res; ++i) {
+    ReferenceSplit& split = splits[static_cast<size_t>(i)];
+    const double s0 = src_lo + i * src_w;
+    const double s1 = s0 + src_w;
+    split.first_target = dst_cell_of(s0);
+    split.fractions.assign(1, 1.0);
+    if (src_w <= 0 || dst_w <= 0) continue;
+    const int j0 = split.first_target;
+    const int j1 = std::max(j0, dst_cell_of(s1));
+    std::vector<double> fractions(static_cast<size_t>(j1 - j0 + 1), 0.0);
+    double total = 0;
+    for (int j = j0; j <= j1; ++j) {
+      const double t0 = dst_lo + j * dst_w;
+      const double overlap = std::min(s1, t0 + dst_w) - std::max(s0, t0);
+      if (overlap > 0) fractions[static_cast<size_t>(j - j0)] = overlap;
+      total += std::max(0.0, overlap);
+    }
+    if (total <= 0) continue;
+    for (double& fraction : fractions) fraction /= total;
+    split.fractions = std::move(fractions);
+  }
+  return splits;
+}
+
+std::vector<double> ReferenceResample(const DatasetStats& stats,
+                                      const Box& domain, int res) {
+  std::vector<double> out(static_cast<size_t>(res) * res * res, 0.0);
+  const int src = stats.histogram_resolution;
+  const auto sx = ReferenceSplitAxis(stats.extent.lo.x, stats.extent.hi.x,
+                                     src, domain.lo.x, domain.hi.x, res);
+  const auto sy = ReferenceSplitAxis(stats.extent.lo.y, stats.extent.hi.y,
+                                     src, domain.lo.y, domain.hi.y, res);
+  const auto sz = ReferenceSplitAxis(stats.extent.lo.z, stats.extent.hi.z,
+                                     src, domain.lo.z, domain.hi.z, res);
+  for (int x = 0; x < src; ++x) {
+    for (int y = 0; y < src; ++y) {
+      for (int z = 0; z < src; ++z) {
+        const uint32_t count =
+            stats.histogram[(static_cast<size_t>(x) * src + y) * src + z];
+        if (count == 0) continue;
+        for (size_t ix = 0; ix < sx[x].fractions.size(); ++ix) {
+          const size_t jx = sx[x].first_target + ix;
+          for (size_t iy = 0; iy < sy[y].fractions.size(); ++iy) {
+            const size_t jy = sy[y].first_target + iy;
+            for (size_t iz = 0; iz < sz[z].fractions.size(); ++iz) {
+              const size_t jz = sz[z].first_target + iz;
+              out[(jx * res + jy) * res + jz] += count * sx[x].fractions[ix] *
+                                                 sy[y].fractions[iy] *
+                                                 sz[z].fractions[iz];
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+PairEstimate ReferenceCombine(const DatasetStats& a, const DatasetStats& b,
+                              float epsilon) {
+  PairEstimate estimate;
+  if (a.count == 0 || b.count == 0) return estimate;
+  Box domain = a.extent;
+  domain.ExpandToContain(b.extent);
+  const Vec3 extent = domain.Extent();
+  const float max_avg =
+      std::max({a.avg_object_extent.x, a.avg_object_extent.y,
+                a.avg_object_extent.z, b.avg_object_extent.x,
+                b.avg_object_extent.y, b.avg_object_extent.z});
+  const int res =
+      CellSizeCappedResolution(std::min({extent.x, extent.y, extent.z}),
+                               max_avg, kHistogramResolution);
+  const std::vector<double> ha = ReferenceResample(a, domain, res);
+  const std::vector<double> hb = ReferenceResample(b, domain, res);
+  const float ext[3] = {extent.x, extent.y, extent.z};
+  const float avg_a[3] = {a.avg_object_extent.x, a.avg_object_extent.y,
+                          a.avg_object_extent.z};
+  const float avg_b[3] = {b.avg_object_extent.x, b.avg_object_extent.y,
+                          b.avg_object_extent.z};
+  double same[3];
+  double adjacent[3];
+  for (int axis = 0; axis < 3; ++axis) {
+    const double cell_edge = ext[axis] / static_cast<double>(res);
+    same[axis] = 1.0;
+    adjacent[axis] = 0.0;
+    if (cell_edge <= 0) continue;
+    const double s =
+        std::min(1.0, (avg_a[axis] + 2.0 * epsilon + avg_b[axis]) /
+                          (2.0 * cell_edge));
+    same[axis] = 2.0 * s - s * s;
+    adjacent[axis] = s * s / 2.0;
+  }
+  const auto b_at = [&](int x, int y, int z) -> double {
+    if (x < 0 || y < 0 || z < 0 || x >= res || y >= res || z >= res) return 0;
+    return hb[(static_cast<size_t>(x) * res + y) * res + z];
+  };
+  double expected = 0;
+  double peak = 0;
+  size_t occupied = 0;
+  for (int x = 0; x < res; ++x) {
+    for (int y = 0; y < res; ++y) {
+      for (int z = 0; z < res; ++z) {
+        const double a_count =
+            ha[(static_cast<size_t>(x) * res + y) * res + z];
+        if (a_count <= 0) continue;
+        double b_weighted = 0;
+        for (int dx = -1; dx <= 1; ++dx) {
+          for (int dy = -1; dy <= 1; ++dy) {
+            for (int dz = -1; dz <= 1; ++dz) {
+              b_weighted += (dx == 0 ? same[0] : adjacent[0]) *
+                            (dy == 0 ? same[1] : adjacent[1]) *
+                            (dz == 0 ? same[2] : adjacent[2]) *
+                            b_at(x + dx, y + dy, z + dz);
+            }
+          }
+        }
+        const double contribution = a_count * b_weighted;
+        if (contribution <= 0) continue;
+        expected += contribution;
+        peak = std::max(peak, contribution);
+        ++occupied;
+      }
+    }
+  }
+  estimate.expected_results = expected;
+  estimate.selectivity =
+      expected / (static_cast<double>(a.count) * static_cast<double>(b.count));
+  if (occupied > 0 && expected > 0) {
+    estimate.pair_skew = peak / (expected / static_cast<double>(occupied));
+  }
+  return estimate;
+}
+
+void ExpectMatchesReference(const DatasetStats& a, const DatasetStats& b,
+                            float epsilon) {
+  const PairEstimate got = CombineHistograms(a, b, epsilon);
+  const PairEstimate want = ReferenceCombine(a, b, epsilon);
+  const auto expect_close = [](double actual, double reference,
+                               const char* what) {
+    if (reference == 0) {
+      EXPECT_EQ(actual, 0) << what;
+      return;
+    }
+    EXPECT_LE(std::abs(actual - reference) / std::abs(reference), 1e-12)
+        << what << ": " << actual << " vs reference " << reference;
+  };
+  expect_close(got.expected_results, want.expected_results,
+               "expected_results");
+  expect_close(got.pair_skew, want.pair_skew, "pair_skew");
+  expect_close(got.selectivity, want.selectivity, "selectivity");
+}
+
+TEST(PairEstimateTest, SeparableMatchesStencilReference) {
+  const auto stats = [](Distribution distribution, size_t n, uint64_t seed,
+                        const SyntheticOptions& options = {}) {
+    return ComputeDatasetStats(GenerateSynthetic(distribution, n, seed, options));
+  };
+  for (const Distribution distribution :
+       {Distribution::kUniform, Distribution::kClustered,
+        Distribution::kGaussian}) {
+    SCOPED_TRACE(DistributionName(distribution));
+    const DatasetStats a = stats(distribution, 6000, 201);
+    const DatasetStats b = stats(distribution, 9000, 202);
+    for (const float epsilon : {0.0f, 2.0f, 10.0f}) {
+      SCOPED_TRACE(epsilon);
+      ExpectMatchesReference(a, b, epsilon);
+    }
+  }
+  {
+    SCOPED_TRACE("uniform x clustered, different extents");
+    SyntheticOptions small_space;
+    small_space.space = 600.0f;
+    ExpectMatchesReference(stats(Distribution::kUniform, 5000, 203, small_space),
+                           stats(Distribution::kClustered, 7000, 204), 3.0f);
+  }
+  {
+    // Boxes large against the domain cap the joint grid below 32 cells per
+    // axis (1000 / (4 * ~20) = 12).
+    SCOPED_TRACE("cell-capped joint resolution");
+    SyntheticOptions big_boxes;
+    big_boxes.max_side = 40.0f;
+    const DatasetStats sa = stats(Distribution::kUniform, 3000, 205, big_boxes);
+    const DatasetStats sb = stats(Distribution::kGaussian, 4000, 206, big_boxes);
+    Box domain = sa.extent;
+    domain.ExpandToContain(sb.extent);
+    const Vec3 extent = domain.Extent();
+    const float max_avg = std::max(
+        {sa.avg_object_extent.x, sa.avg_object_extent.y,
+         sa.avg_object_extent.z, sb.avg_object_extent.x,
+         sb.avg_object_extent.y, sb.avg_object_extent.z});
+    ASSERT_LT(CellSizeCappedResolution(
+                  std::min({extent.x, extent.y, extent.z}), max_avg,
+                  kHistogramResolution),
+              kHistogramResolution);
+    ExpectMatchesReference(sa, sb, 1.0f);
+  }
+  {
+    // Flat data: every z is 5, so one axis has zero extent.
+    SCOPED_TRACE("zero-extent axis");
+    Dataset a = GenerateSynthetic(Distribution::kClustered, 4000, 207);
+    Dataset b = GenerateSynthetic(Distribution::kUniform, 5000, 208);
+    for (Dataset* boxes : {&a, &b}) {
+      for (Box& box : *boxes) {
+        box.lo.z = 5.0f;
+        box.hi.z = 5.0f;
+      }
+    }
+    ExpectMatchesReference(ComputeDatasetStats(a), ComputeDatasetStats(b),
+                           1.0f);
+  }
+  for (const int src_res : {20, 48}) {
+    // Stats histogrammed at another resolution, as a peer may ship them.
+    SCOPED_TRACE(src_res);
+    const auto remote = [src_res](const Dataset& boxes) {
+      DatasetStats decoded;
+      EXPECT_TRUE(DeserializeDatasetStats(
+          SerializeDatasetStats(ComputeDatasetStats(boxes, src_res)),
+          &decoded));
+      return decoded;
+    };
+    const DatasetStats a =
+        remote(GenerateSynthetic(Distribution::kClustered, 6000, 209));
+    const DatasetStats b =
+        remote(GenerateSynthetic(Distribution::kGaussian, 8000, 210));
+    ASSERT_EQ(a.histogram_resolution, src_res);
+    ExpectMatchesReference(a, b, 2.0f);
+    ExpectMatchesReference(a, stats(Distribution::kUniform, 5000, 211), 2.0f);
+  }
+  {
+    SCOPED_TRACE("one empty side");
+    const DatasetStats full = stats(Distribution::kUniform, 1000, 212);
+    const DatasetStats empty = ComputeDatasetStats(Dataset{});
+    ExpectMatchesReference(full, empty, 1.0f);
+    ExpectMatchesReference(empty, full, 1.0f);
+  }
 }
 
 // --- DatasetStats serialization (round-trip without geometry) --------------

@@ -143,11 +143,22 @@ TEST_F(EngineTraceTest, TouchPhasesReportTheirHelpers) {
       EXPECT_GE(helpers, 0) << name;
       EXPECT_LE(helpers, threads - 1) << name;
     }
+    // The grid probe's (x, y) rows: every row visited, and those whose
+    // cells held no probe object.
+    const SpanRecord* local_join = view.Find("touch-local-join");
+    std::map<std::string, std::string> attrs(local_join->attrs.begin(),
+                                             local_join->attrs.end());
+    ASSERT_TRUE(attrs.count("grid_rows"));
+    ASSERT_TRUE(attrs.count("grid_rows_empty"));
+    const uint64_t rows = std::stoull(attrs["grid_rows"]);
+    EXPECT_GT(rows, 0u);
+    EXPECT_LE(std::stoull(attrs["grid_rows_empty"]), rows);
   }
 }
 
-// The local-join span reports how much the grid replicated: grid nodes and
-// their cell placements, both independent of how many threads helped.
+// The local-join span reports how much the grid replicated and probed: grid
+// nodes, their cell placements and the rows probed, all independent of how
+// many threads helped.
 TEST_F(EngineTraceTest, TouchLocalJoinReportsGridReplication) {
   const Dataset a_boxes =
       GenerateSynthetic(Distribution::kClustered, 30000, 63);

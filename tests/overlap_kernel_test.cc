@@ -85,6 +85,13 @@ void ExpectGatherIdentity(const BoxSlab& slab,
       CollectOverlapsGatherScalar(slab, positions, query, scalar);
   EXPECT_EQ(batched_examined, scalar_examined);
   EXPECT_EQ(batched, scalar);
+  // Hits are ascending indices into `positions`, one per listed position
+  // whose box overlaps (so a position listed twice can hit twice).
+  std::vector<uint32_t> expected;
+  for (uint32_t i = 0; i < positions.size(); ++i) {
+    if (SlabOverlapScalar(slab, positions[i], query)) expected.push_back(i);
+  }
+  EXPECT_EQ(batched, expected);
 }
 
 // Runs every kernel against its twin over the full range plus offset
@@ -92,9 +99,14 @@ void ExpectGatherIdentity(const BoxSlab& slab,
 void ExpectAllKernelsIdentical(const BoxSlab& slab,
                                std::span<const Box> queries) {
   std::mt19937 rng(7);
+  // Positions as a row of grid cells lists them: runs of ascending slab
+  // positions, some listed again in a later run (objects spanning cells).
   std::vector<uint32_t> positions;
   for (uint32_t i = 0; i < slab.size(); ++i) {
     if (rng() % 3 != 0) positions.push_back(i);
+  }
+  for (uint32_t i = 0; i < slab.size(); ++i) {
+    if (rng() % 5 == 0) positions.push_back(i);
   }
   for (const Box& query : queries) {
     ExpectCollectIdentity(slab, 0, slab.size(), query);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <random>
 #include <stdexcept>
 #include <string>
 
@@ -252,6 +256,72 @@ TEST(TouchJoinTest, GridPlacementsPast32BitsThrow) {
     EXPECT_NE(std::string(error.what()).find("placements"), std::string::npos)
         << error.what();
   }
+}
+
+// Boxes tall in z span many cells of one (x, y) row, so the local join's row
+// probe meets the same probe object several times in one gather; lattice
+// corners put reference points exactly on cell boundaries. The tree is one
+// leaf over [0, 64]^3 and the grid is 16^3 cells of edge 4, so the per-cell
+// comparison count (every item against every occupant of every cell it
+// overlaps) can be summed independently of the join.
+TEST(TouchJoinTest, RowProbeOfTallBoxesMatchesOracle) {
+  std::mt19937 rng(41);
+  const auto lattice = [&rng](int max_step) {
+    return 4.0f * static_cast<float>(rng() % (max_step + 1));
+  };
+  const auto make = [&](size_t count) {
+    Dataset boxes = {MakeBox(0, 0, 0, 1, 1, 1), MakeBox(63, 63, 63, 64, 64, 64)};
+    while (boxes.size() < count) {
+      const float x = lattice(15);
+      const float y = lattice(15);
+      const float z = lattice(12);
+      // Edges end on a boundary (4), inside a cell (1), or nowhere (0).
+      const float edge = std::array{0.0f, 1.0f, 4.0f}[rng() % 3];
+      const float height =
+          rng() % 2 == 0 ? lattice(16) : std::array{0.0f, 1.0f}[rng() % 2];
+      boxes.push_back(MakeBox(x, y, z, x + edge, y + edge,
+                              std::min(64.0f, z + height)));
+    }
+    return boxes;
+  };
+  const Dataset a = make(700);
+  const Dataset b = make(900);
+
+  TouchOptions options;
+  options.partitions = 1;
+  options.join_order = TouchOptions::JoinOrder::kBuildOnA;
+  options.grid_resolution = 16;
+  options.cell_size_multiplier = 0.01f;
+  TouchJoin join(options);
+  VectorCollector out;
+  const JoinStats stats = join.Join(a, b, out);
+
+  std::vector<IdPair> pairs = out.pairs();
+  EXPECT_TRUE(HasNoDuplicates(pairs));
+  std::sort(pairs.begin(), pairs.end());
+  EXPECT_EQ(pairs, OracleJoin(a, b));
+  EXPECT_EQ(stats.results, pairs.size());
+
+  const auto cells = [](float lo, float hi) {
+    const auto cell = [](float v) {
+      return std::clamp(static_cast<int>(std::floor(v / 4.0f)), 0, 15);
+    };
+    return std::pair(cell(lo), cell(hi));
+  };
+  uint64_t per_cell_comparisons = 0;
+  for (const Box& item : a) {
+    for (const Box& entity : b) {
+      uint64_t shared = 1;
+      for (int axis = 0; axis < 3; ++axis) {
+        const auto [a_lo, a_hi] = cells(item.lo[axis], item.hi[axis]);
+        const auto [b_lo, b_hi] = cells(entity.lo[axis], entity.hi[axis]);
+        const int overlap = std::min(a_hi, b_hi) - std::max(a_lo, b_lo) + 1;
+        shared *= static_cast<uint64_t>(std::max(0, overlap));
+      }
+      per_cell_comparisons += shared;
+    }
+  }
+  EXPECT_EQ(stats.comparisons, per_cell_comparisons);
 }
 
 TEST(DistanceJoinTest, EquivalentToEnlargedSpatialJoin) {
