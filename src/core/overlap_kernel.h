@@ -1,10 +1,12 @@
 #ifndef TOUCH_CORE_OVERLAP_KERNEL_H_
 #define TOUCH_CORE_OVERLAP_KERNEL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geom/box.h"
@@ -94,15 +96,7 @@ class BoxSlab {
       // Store the raw coordinates, not `x ± 0.0f` — adding a zero flips the
       // sign of -0.0f and would break bit-exact round-trips against the
       // scalar paths, which use the un-enlarged boxes directly.
-      for (size_t i = begin; i < end; ++i) {
-        const Box box = fn(i);
-        lo_x_[i] = box.lo.x;
-        lo_y_[i] = box.lo.y;
-        lo_z_[i] = box.lo.z;
-        hi_x_[i] = box.hi.x;
-        hi_y_[i] = box.hi.y;
-        hi_z_[i] = box.hi.z;
-      }
+      for (size_t i = begin; i < end; ++i) Set(i, fn(i));
       return;
     }
     for (size_t i = begin; i < end; ++i) {
@@ -114,6 +108,31 @@ class BoxSlab {
       hi_y_[i] = box.hi.y + epsilon;
       hi_z_[i] = box.hi.z + epsilon;
     }
+  }
+
+  /// slab[i] = box, raw: the store of a slab edited box by box.
+  void Set(size_t i, const Box& box) {
+    lo_x_[i] = box.lo.x;
+    lo_y_[i] = box.lo.y;
+    lo_z_[i] = box.lo.z;
+    hi_x_[i] = box.hi.x;
+    hi_y_[i] = box.hi.y;
+    hi_z_[i] = box.hi.z;
+  }
+
+  /// Resize that keeps the first min(size(), count) boxes (Resize leaves
+  /// them undefined): the growth step of a slab edited in place.
+  void ResizeKeep(size_t count) {
+    BoxSlab grown;
+    grown.Resize(count);
+    const size_t keep = std::min(size_, count);
+    std::copy_n(lo_x_, keep, grown.lo_x_);
+    std::copy_n(lo_y_, keep, grown.lo_y_);
+    std::copy_n(lo_z_, keep, grown.lo_z_);
+    std::copy_n(hi_x_, keep, grown.hi_x_);
+    std::copy_n(hi_y_, keep, grown.hi_y_);
+    std::copy_n(hi_z_, keep, grown.hi_z_);
+    *this = std::move(grown);
   }
 
   size_t size() const { return size_; }

@@ -797,14 +797,14 @@ std::optional<Box> DatasetCatalog::FindObject(DatasetHandle handle,
   return e.cur_boxes[it->second];
 }
 
-void DatasetCatalog::QueryObjects(
-    DatasetHandle handle, const Box& query,
-    const std::function<void(uint32_t, const Box&)>& emit) const {
+void DatasetCatalog::ReadTree(
+    DatasetHandle handle,
+    const std::function<void(const DynamicRTree&)>& read) const {
   Entry* ep = entry(handle);
   Entry& e = *ep;
   MutexLock lock(e.m);
   EnsureDynamicLocked(e);
-  e.tree.Query(query, [&](uint32_t id, const Box& box) { emit(id, box); });
+  read(e.tree);
 }
 
 std::optional<DatasetHandle> DatasetCatalog::Find(

@@ -256,15 +256,16 @@ class DatasetCatalog {
   std::optional<Box> FindObject(DatasetHandle handle, uint32_t id) const
       EXCLUDES(mutex_);
 
-  /// Probes the dataset's backing DynamicRTree: `emit(id, box)` for every
-  /// live object whose box intersects `query`, in tree order (the order
-  /// follows the tree's layout, not the ids). This is the standing join's
-  /// baseline and delta-probe primitive — O(log n + answers), no geometry
-  /// rescans. The first call on a never-mutated dataset materializes the
-  /// tree.
-  void QueryObjects(DatasetHandle handle, const Box& query,
-                    const std::function<void(uint32_t, const Box&)>& emit)
-      const EXCLUDES(mutex_);
+  /// Runs `read(tree)` on the dataset's backing DynamicRTree under the
+  /// dataset's lock, taken once for all of `read`: the standing join's
+  /// baseline and delta-probe primitive (each window O(log n + answers), no
+  /// geometry rescans). `read` may run the tree's const Query on other
+  /// threads too, as long as they finish before it returns; it must not
+  /// call into the catalog. The first call on a never-mutated dataset
+  /// materializes the tree.
+  void ReadTree(DatasetHandle handle,
+                const std::function<void(const DynamicRTree&)>& read) const
+      EXCLUDES(mutex_);
 
   /// Handle of the most recently registered dataset named `name`.
   std::optional<DatasetHandle> Find(const std::string& name) const

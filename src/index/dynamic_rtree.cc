@@ -1,7 +1,9 @@
 #include "index/dynamic_rtree.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "index/str.h"
@@ -23,6 +25,13 @@ double OverlapWith(const Box& box, std::span<const Box> others, size_t skip) {
     overlap += Intersection(box, others[i]).Volume();
   }
   return overlap;
+}
+
+/// Bitwise equality: the upward walks' early stop must see a -0.0 -> +0.0
+/// change that operator== would not.
+bool SameBits(const Box& a, const Box& b) {
+  static_assert(sizeof(Box) == 6 * sizeof(float));
+  return std::memcmp(&a, &b, sizeof(Box)) == 0;
 }
 
 /// Node boundaries for one packed level: the STR bucket boundaries, with
@@ -57,6 +66,7 @@ DynamicRTree::DynamicRTree(const Options& options) : options_(options) {
   options_.max_entries = std::max<uint32_t>(2, options_.max_entries);
   options_.min_entries =
       std::clamp<uint32_t>(options_.min_entries, 1, options_.max_entries / 2);
+  stride_ = (options_.max_entries + BoxSlab::kPad - 1) & ~(BoxSlab::kPad - 1);
   root_ = AllocNode(0);
 }
 
@@ -81,14 +91,12 @@ void DynamicRTree::BulkLoad(std::span<const Box> boxes) {
     std::vector<uint32_t> node_ids;
     for (size_t k = 0; k + 1 < bounds.size(); ++k) {
       const uint32_t node_id = AllocNode(level);
-      std::vector<Entry>& entries = nodes_[node_id].entries;
-      entries.reserve(bounds[k + 1] - bounds[k]);
       for (uint32_t j = bounds[k]; j < bounds[k + 1]; ++j) {
         const uint32_t i = str.order[j];
         if (level == 0) {
-          entries.push_back(Entry{items[i], i});
+          Append(node_id, Entry{items[i], i});
         } else {
-          entries.push_back(Entry{items[i], item_nodes[i]});
+          Append(node_id, Entry{items[i], item_nodes[i]});
           nodes_[item_nodes[i]].parent = static_cast<int32_t>(node_id);
         }
       }
@@ -98,6 +106,11 @@ void DynamicRTree::BulkLoad(std::span<const Box> boxes) {
     }
     if (node_ids.size() == 1) {
       root_ = node_ids.front();
+      // The node count is final: trim the arena to it.
+      nodes_.shrink_to_fit();
+      slab_.ResizeKeep(nodes_.size() * stride_);
+      ids_.resize(nodes_.size() * stride_);
+      ids_.shrink_to_fit();
       return;
     }
     item_mbrs = std::move(mbrs);
@@ -116,27 +129,82 @@ uint32_t DynamicRTree::AllocNode(uint8_t level) {
   }
   nodes_.emplace_back();
   nodes_.back().level = level;
+  if (nodes_.size() * stride_ > ids_.size()) {
+    // Grow the arena by a quarter: a bulk-loaded tree starts exactly sized,
+    // and its first split should not double it.
+    const size_t slots = (nodes_.size() + nodes_.size() / 4) * stride_;
+    slab_.ResizeKeep(slots);
+    ids_.resize(slots);
+  }
   return static_cast<uint32_t>(nodes_.size() - 1);
+}
+
+void DynamicRTree::Append(uint32_t node_id, const Entry& entry) {
+  Node& node = nodes_[node_id];
+  assert(node.count < options_.max_entries);
+  const size_t slot = Slot(node_id) + node.count++;
+  slab_.Set(slot, entry.mbr);
+  ids_[slot] = entry.id;
+}
+
+void DynamicRTree::EraseSlot(uint32_t node_id, size_t slot) {
+  const size_t end = Slot(node_id) + nodes_[node_id].count--;
+  for (size_t s = slot; s + 1 < end; ++s) {
+    slab_.Set(s, slab_.BoxAt(s + 1));
+    ids_[s] = ids_[s + 1];
+  }
+}
+
+void DynamicRTree::LoadEntries(uint32_t node_id,
+                               std::vector<Entry>* entries) const {
+  entries->clear();
+  const size_t begin = Slot(node_id);
+  for (size_t slot = begin; slot < begin + nodes_[node_id].count; ++slot) {
+    entries->push_back(EntryAt(slot));
+  }
+}
+
+void DynamicRTree::StoreEntries(uint32_t node_id,
+                                std::span<const Entry> entries) {
+  nodes_[node_id].count = 0;
+  for (const Entry& e : entries) Append(node_id, e);
+}
+
+size_t DynamicRTree::ChildSlot(uint32_t parent, uint32_t child) const {
+  const size_t begin = Slot(parent);
+  for (size_t slot = begin; slot < begin + nodes_[parent].count; ++slot) {
+    if (ids_[slot] == child) return slot;
+  }
+  return kNotFound;
+}
+
+std::vector<uint32_t>& DynamicRTree::ThreadQueryHits() {
+  thread_local std::vector<uint32_t> hits;
+  return hits;
 }
 
 void DynamicRTree::RecomputeMbr(uint32_t node_id) {
   Node& node = nodes_[node_id];
   node.mbr = Box::Empty();
-  for (const Entry& e : node.entries) node.mbr.ExpandToContain(e.mbr);
+  for (size_t slot = Slot(node_id); slot < Slot(node_id) + node.count;
+       ++slot) {
+    node.mbr.ExpandToContain(slab_.BoxAt(slot));
+  }
 }
 
 void DynamicRTree::SyncUpward(uint32_t node_id) {
   int32_t current = static_cast<int32_t>(node_id);
   while (current >= 0) {
+    const Box before = nodes_[current].mbr;
     RecomputeMbr(static_cast<uint32_t>(current));
+    const Box& mbr = nodes_[current].mbr;
     const int32_t parent = nodes_[current].parent;
-    if (parent >= 0) {
-      for (Entry& e : nodes_[parent].entries) {
-        if (e.id == static_cast<uint32_t>(current)) {
-          e.mbr = nodes_[current].mbr;
-          break;
-        }
-      }
+    if (parent < 0) return;
+    const size_t slot = ChildSlot(static_cast<uint32_t>(parent),
+                                  static_cast<uint32_t>(current));
+    if (slot != kNotFound) {
+      if (SameBits(before, mbr) && SameBits(slab_.BoxAt(slot), mbr)) return;
+      slab_.Set(slot, mbr);
     }
     current = parent;
   }
@@ -158,14 +226,14 @@ uint32_t DynamicRTree::ChooseSubtree(const Box& box,
       // R*: among the children, pick the one whose overlap with its siblings
       // grows least when enlarged to cover `box`; break ties by volume
       // enlargement, then by volume.
-      std::vector<Box> child_mbrs(node.entries.size());
-      for (size_t i = 0; i < node.entries.size(); ++i) {
-        child_mbrs[i] = node.entries[i].mbr;
+      std::vector<Box> child_mbrs(node.count);
+      for (size_t i = 0; i < node.count; ++i) {
+        child_mbrs[i] = slab_.BoxAt(Slot(current) + i);
       }
       double best_overlap_delta = std::numeric_limits<double>::infinity();
       double best_enlargement = std::numeric_limits<double>::infinity();
       double best_volume = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < node.entries.size(); ++i) {
+      for (size_t i = 0; i < node.count; ++i) {
         const Box enlarged = Union(child_mbrs[i], box);
         const double overlap_delta =
             OverlapWith(enlarged, child_mbrs, i) -
@@ -187,9 +255,10 @@ uint32_t DynamicRTree::ChooseSubtree(const Box& box,
       // ties by smallest volume.
       double best_enlargement = std::numeric_limits<double>::infinity();
       double best_volume = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < node.entries.size(); ++i) {
-        const double enlargement = Enlargement(node.entries[i].mbr, box);
-        const double volume = node.entries[i].mbr.Volume();
+      for (size_t i = 0; i < node.count; ++i) {
+        const Box child = slab_.BoxAt(Slot(current) + i);
+        const double enlargement = Enlargement(child, box);
+        const double volume = child.Volume();
         if (enlargement < best_enlargement ||
             (enlargement == best_enlargement && volume < best_volume)) {
           best = i;
@@ -198,7 +267,7 @@ uint32_t DynamicRTree::ChooseSubtree(const Box& box,
         }
       }
     }
-    current = node.entries[best].id;
+    current = ids_[Slot(current) + best];
   }
   return current;
 }
@@ -212,18 +281,25 @@ void DynamicRTree::Insert(uint32_t id, const Box& box) {
 void DynamicRTree::InsertEntry(const Entry& entry, uint8_t target_level,
                                int depth) {
   const uint32_t node_id = ChooseSubtree(entry.mbr, target_level);
-  Node& node = nodes_[node_id];
-  node.entries.push_back(entry);
-  if (!node.IsLeaf()) nodes_[entry.id].parent = static_cast<int32_t>(node_id);
-  SyncUpward(node_id);
-
-  if (nodes_[node_id].entries.size() > options_.max_entries) {
-    HandleOverflow(node_id, depth);
+  if (!nodes_[node_id].IsLeaf()) {
+    nodes_[entry.id].parent = static_cast<int32_t>(node_id);
   }
+  if (nodes_[node_id].count < options_.max_entries) {
+    Append(node_id, entry);
+    SyncUpward(node_id);
+    return;
+  }
+  HandleOverflow(node_id, entry, depth);
 }
 
-void DynamicRTree::HandleOverflow(uint32_t node_id, int depth) {
-  Node& node = nodes_[node_id];
+void DynamicRTree::HandleOverflow(uint32_t node_id, const Entry& extra,
+                                  int depth) {
+  // The node's entries plus the one that does not fit. It never enters the
+  // node's row: the row only ever holds max_entries.
+  std::vector<Entry> entries;
+  LoadEntries(node_id, &entries);
+  entries.push_back(extra);
+  const Node& node = nodes_[node_id];
   const uint8_t level = node.level;
   const bool is_root = node.parent < 0;
 
@@ -234,9 +310,9 @@ void DynamicRTree::HandleOverflow(uint32_t node_id, int depth) {
     // and insert them again from the top. `depth` caps recursion so
     // pathological inputs cannot reinsert forever.
     reinserted_levels_[level] = true;
-    const Vec3 center = node.mbr.Center();
-    std::vector<Entry> entries = std::move(node.entries);
-    node.entries.clear();
+    Box mbr = node.mbr;
+    mbr.ExpandToContain(extra.mbr);
+    const Vec3 center = mbr.Center();
     std::sort(entries.begin(), entries.end(),
               [&](const Entry& a, const Entry& b) {
                 return (a.mbr.Center() - center).LengthSquared() <
@@ -247,24 +323,21 @@ void DynamicRTree::HandleOverflow(uint32_t node_id, int depth) {
         std::max<size_t>(1, static_cast<size_t>(std::floor(
                                 static_cast<float>(entries.size()) *
                                 options_.reinsert_fraction)));
-    std::vector<Entry> evicted(entries.begin() + keep, entries.end());
+    const std::vector<Entry> evicted(entries.begin() + keep, entries.end());
     entries.resize(keep);
-    node.entries = std::move(entries);
-    for (const Entry& e : node.entries) {
-      if (!node.IsLeaf()) nodes_[e.id].parent = static_cast<int32_t>(node_id);
+    StoreEntries(node_id, entries);
+    for (const Entry& e : entries) {
+      if (level > 0) nodes_[e.id].parent = static_cast<int32_t>(node_id);
     }
     SyncUpward(node_id);
     for (const Entry& e : evicted) InsertEntry(e, level, depth + 1);
     return;
   }
 
-  SplitNode(node_id);
+  SplitNode(node_id, entries);
 }
 
-void DynamicRTree::SplitNode(uint32_t node_id) {
-  std::vector<Entry> entries = std::move(nodes_[node_id].entries);
-  nodes_[node_id].entries.clear();
-
+void DynamicRTree::SplitNode(uint32_t node_id, std::vector<Entry>& entries) {
   std::vector<Entry> left;
   std::vector<Entry> right;
   if (options_.variant == RTreeVariant::kRStar) {
@@ -276,15 +349,15 @@ void DynamicRTree::SplitNode(uint32_t node_id) {
   const uint8_t level = nodes_[node_id].level;
   const uint32_t sibling_id = AllocNode(level);
 
-  nodes_[node_id].entries = std::move(left);
-  nodes_[sibling_id].entries = std::move(right);
+  StoreEntries(node_id, left);
+  StoreEntries(sibling_id, right);
   RecomputeMbr(node_id);
   RecomputeMbr(sibling_id);
   if (level > 0) {
-    for (const Entry& e : nodes_[node_id].entries) {
+    for (const Entry& e : left) {
       nodes_[e.id].parent = static_cast<int32_t>(node_id);
     }
-    for (const Entry& e : nodes_[sibling_id].entries) {
+    for (const Entry& e : right) {
       nodes_[e.id].parent = static_cast<int32_t>(sibling_id);
     }
   }
@@ -293,10 +366,8 @@ void DynamicRTree::SplitNode(uint32_t node_id) {
   if (parent < 0) {
     // Root split: grow the tree by one level.
     const uint32_t new_root = AllocNode(level + 1);
-    nodes_[new_root].entries.push_back(
-        Entry{nodes_[node_id].mbr, node_id});
-    nodes_[new_root].entries.push_back(
-        Entry{nodes_[sibling_id].mbr, sibling_id});
+    Append(new_root, Entry{nodes_[node_id].mbr, node_id});
+    Append(new_root, Entry{nodes_[sibling_id].mbr, sibling_id});
     nodes_[node_id].parent = static_cast<int32_t>(new_root);
     nodes_[sibling_id].parent = static_cast<int32_t>(new_root);
     RecomputeMbr(new_root);
@@ -305,20 +376,21 @@ void DynamicRTree::SplitNode(uint32_t node_id) {
     return;
   }
 
-  // Replace the split node's entry in the parent and add the sibling.
-  Node& parent_node = nodes_[parent];
-  for (Entry& e : parent_node.entries) {
-    if (e.id == node_id) {
-      e.mbr = nodes_[node_id].mbr;
-      break;
-    }
-  }
-  parent_node.entries.push_back(Entry{nodes_[sibling_id].mbr, sibling_id});
+  // Replace the split node's entry in the parent and add the sibling,
+  // splitting the parent in turn when it is full.
+  const uint32_t up = static_cast<uint32_t>(parent);
+  const size_t slot = ChildSlot(up, node_id);
+  if (slot != kNotFound) slab_.Set(slot, nodes_[node_id].mbr);
   nodes_[sibling_id].parent = parent;
-  SyncUpward(static_cast<uint32_t>(parent));
-  if (nodes_[parent].entries.size() > options_.max_entries) {
-    SplitNode(static_cast<uint32_t>(parent));
+  const Entry sibling{nodes_[sibling_id].mbr, sibling_id};
+  if (nodes_[up].count < options_.max_entries) {
+    Append(up, sibling);
+    SyncUpward(up);
+    return;
   }
+  LoadEntries(up, &entries);
+  entries.push_back(sibling);
+  SplitNode(up, entries);
 }
 
 void DynamicRTree::QuadraticSplit(std::vector<Entry>& entries,
@@ -471,75 +543,63 @@ void DynamicRTree::RStarSplit(std::vector<Entry>& entries,
   right->assign(entries.begin() + best_split, entries.end());
 }
 
-bool DynamicRTree::Remove(uint32_t id, const Box& box) {
-  // Find the leaf holding the entry.
-  int32_t found_leaf = -1;
-  size_t found_index = 0;
-  const auto find = [&](auto&& self, uint32_t node_id) -> bool {
-    const Node& node = nodes_[node_id];
-    if (!Intersects(node.mbr, box)) return false;
-    if (node.IsLeaf()) {
-      for (size_t i = 0; i < node.entries.size(); ++i) {
-        if (node.entries[i].id == id && node.entries[i].mbr == box) {
-          found_leaf = static_cast<int32_t>(node_id);
-          found_index = i;
-          return true;
-        }
-      }
-      return false;
-    }
-    for (const Entry& e : node.entries) {
-      if (self(self, e.id)) return true;
-    }
-    return false;
-  };
-  if (size_ == 0 || !find(find, root_)) return false;
+size_t DynamicRTree::FindEntry(uint32_t id, const Box& box) {
+  if (size_ == 0 || !Contains(nodes_[root_].mbr, box)) return kNotFound;
+  find_hits_.clear();
+  // A stored entry lies inside every ancestor's MBR, so only children
+  // whose stored MBR contains `box` can lead to it. Overlapping the
+  // inverted box (corners swapped) is exactly that containment, which
+  // lets the overlap kernel test a node's children at once.
+  return FindIn(root_, id, box, Box(box.hi, box.lo));
+}
 
-  Node& leaf = nodes_[found_leaf];
-  leaf.entries.erase(leaf.entries.begin() +
-                     static_cast<ptrdiff_t>(found_index));
+size_t DynamicRTree::FindIn(uint32_t node_id, uint32_t id, const Box& box,
+                            const Box& inverted) {
+  const Node& node = nodes_[node_id];
+  const size_t begin = Slot(node_id);
+  const size_t end = begin + node.count;
+  if (node.IsLeaf()) {
+    for (size_t slot = begin; slot < end; ++slot) {
+      if (ids_[slot] == id && slab_.BoxAt(slot) == box) return slot;
+    }
+    return kNotFound;
+  }
+  const size_t first = find_hits_.size();
+  CollectOverlaps(slab_, begin, end, inverted, find_hits_);
+  const size_t last = find_hits_.size();
+  for (size_t k = first; k < last; ++k) {
+    const size_t found = FindIn(ids_[find_hits_[k]], id, box, inverted);
+    if (found != kNotFound) return found;
+  }
+  find_hits_.resize(first);
+  return kNotFound;
+}
+
+bool DynamicRTree::Remove(uint32_t id, const Box& box) {
+  const size_t slot = FindEntry(id, box);
+  if (slot == kNotFound) return false;
+  const uint32_t leaf = static_cast<uint32_t>(slot / stride_);
+  EraseSlot(leaf, slot);
   --size_;
-  CondenseTree(static_cast<uint32_t>(found_leaf));
+  CondenseTree(leaf);
   return true;
 }
 
 bool DynamicRTree::Update(uint32_t id, const Box& old_box,
                           const Box& new_box) {
-  // Find the leaf holding the entry, exactly like Remove.
-  int32_t found_leaf = -1;
-  size_t found_index = 0;
-  const auto find = [&](auto&& self, uint32_t node_id) -> bool {
-    const Node& node = nodes_[node_id];
-    if (!Intersects(node.mbr, old_box)) return false;
-    if (node.IsLeaf()) {
-      for (size_t i = 0; i < node.entries.size(); ++i) {
-        if (node.entries[i].id == id && node.entries[i].mbr == old_box) {
-          found_leaf = static_cast<int32_t>(node_id);
-          found_index = i;
-          return true;
-        }
-      }
-      return false;
-    }
-    for (const Entry& e : node.entries) {
-      if (self(self, e.id)) return true;
-    }
-    return false;
-  };
-  if (size_ == 0 || !find(find, root_)) return false;
-
-  Node& leaf = nodes_[found_leaf];
-  if (Contains(leaf.mbr, new_box)) {
+  const size_t slot = FindEntry(id, old_box);
+  if (slot == kNotFound) return false;
+  const uint32_t leaf = static_cast<uint32_t>(slot / stride_);
+  if (Contains(nodes_[leaf].mbr, new_box)) {
     // In-place rewrite: the leaf's MBR still covers the entry, so only the
     // upward tighten (the old box may have been the extreme one) is needed.
-    leaf.entries[found_index].mbr = new_box;
-    SyncUpward(static_cast<uint32_t>(found_leaf));
+    slab_.Set(slot, new_box);
+    SyncUpward(leaf);
     return true;
   }
-  leaf.entries.erase(leaf.entries.begin() +
-                     static_cast<ptrdiff_t>(found_index));
+  EraseSlot(leaf, slot);
   --size_;
-  CondenseTree(static_cast<uint32_t>(found_leaf));
+  CondenseTree(leaf);
   Insert(id, new_box);
   return true;
 }
@@ -552,27 +612,30 @@ void DynamicRTree::CondenseTree(uint32_t node_id) {
   while (current >= 0) {
     Node& node = nodes_[current];
     const int32_t parent = node.parent;
-    if (parent >= 0 && node.entries.size() < options_.min_entries) {
-      Node& parent_node = nodes_[parent];
-      parent_node.entries.erase(
-          std::remove_if(parent_node.entries.begin(),
-                         parent_node.entries.end(),
-                         [&](const Entry& e) {
-                           return e.id == static_cast<uint32_t>(current);
-                         }),
-          parent_node.entries.end());
-      for (const Entry& e : node.entries) orphans.emplace_back(e, node.level);
-      node.entries.clear();
+    if (parent >= 0 && node.count < options_.min_entries) {
+      const size_t slot = ChildSlot(static_cast<uint32_t>(parent),
+                                    static_cast<uint32_t>(current));
+      if (slot != kNotFound) EraseSlot(static_cast<uint32_t>(parent), slot);
+      for (size_t s = Slot(current); s < Slot(current) + node.count; ++s) {
+        orphans.emplace_back(EntryAt(s), node.level);
+      }
+      node.count = 0;
       free_nodes_.push_back(static_cast<uint32_t>(current));
     } else {
+      const Box before = node.mbr;
       RecomputeMbr(static_cast<uint32_t>(current));
-      // Refresh this node's entry box in its parent.
+      // Refresh this node's entry box in its parent. Once the box and the
+      // parent's copy are both unchanged, no ancestor changes either (nor
+      // loses an entry), so the walk can stop, as SyncUpward does.
       if (parent >= 0) {
-        for (Entry& e : nodes_[parent].entries) {
-          if (e.id == static_cast<uint32_t>(current)) {
-            e.mbr = node.mbr;
+        const size_t slot = ChildSlot(static_cast<uint32_t>(parent),
+                                      static_cast<uint32_t>(current));
+        if (slot != kNotFound) {
+          if (SameBits(before, node.mbr) &&
+              SameBits(slab_.BoxAt(slot), node.mbr)) {
             break;
           }
+          slab_.Set(slot, node.mbr);
         }
       }
     }
@@ -580,13 +643,13 @@ void DynamicRTree::CondenseTree(uint32_t node_id) {
   }
 
   // Shrink the root while it is an inner node with a single child.
-  while (!nodes_[root_].IsLeaf() && nodes_[root_].entries.size() == 1) {
-    const uint32_t only_child = nodes_[root_].entries[0].id;
+  while (!nodes_[root_].IsLeaf() && nodes_[root_].count == 1) {
+    const uint32_t only_child = ids_[Slot(root_)];
     free_nodes_.push_back(root_);
     nodes_[only_child].parent = -1;
     root_ = only_child;
   }
-  if (nodes_[root_].entries.empty() && !nodes_[root_].IsLeaf()) {
+  if (nodes_[root_].count == 0 && !nodes_[root_].IsLeaf()) {
     nodes_[root_].level = 0;
   }
 
@@ -605,11 +668,12 @@ void DynamicRTree::CondenseTree(uint32_t node_id) {
       while (!stack.empty()) {
         const uint32_t nid = stack.back();
         stack.pop_back();
-        for (const Entry& e : nodes_[nid].entries) {
+        // By slot, not by reference: the inserts may grow the arena.
+        for (uint32_t i = 0; i < nodes_[nid].count; ++i) {
           if (nodes_[nid].IsLeaf()) {
-            InsertEntry(e, 0, 0);
+            InsertEntry(EntryAt(Slot(nid) + i), 0, 0);
           } else {
-            stack.push_back(e.id);
+            stack.push_back(ids_[Slot(nid) + i]);
           }
         }
         free_nodes_.push_back(nid);
@@ -619,9 +683,8 @@ void DynamicRTree::CondenseTree(uint32_t node_id) {
 }
 
 size_t DynamicRTree::MemoryUsageBytes() const {
-  size_t bytes = VectorBytes(nodes_) + VectorBytes(free_nodes_);
-  for (const Node& node : nodes_) bytes += VectorBytes(node.entries);
-  return bytes;
+  return VectorBytes(nodes_) + VectorBytes(free_nodes_) + VectorBytes(ids_) +
+         slab_.MemoryUsageBytes();
 }
 
 bool DynamicRTree::CheckInvariants() const {
@@ -633,22 +696,29 @@ bool DynamicRTree::CheckInvariants() const {
   const auto check = [&](auto&& self, uint32_t node_id, int depth) -> bool {
     const Node& node = nodes_[node_id];
     if (node_id != root_) {
-      if (node.entries.size() < options_.min_entries) return false;
+      if (node.count < options_.min_entries) return false;
     }
-    if (node.entries.size() > options_.max_entries) return false;
+    if (node.count > options_.max_entries) return false;
+    const size_t begin = Slot(node_id);
+    const size_t end = begin + node.count;
     Box computed = Box::Empty();
-    for (const Entry& e : node.entries) computed.ExpandToContain(e.mbr);
-    if (!(computed == node.mbr)) return false;
+    for (size_t slot = begin; slot < end; ++slot) {
+      computed.ExpandToContain(slab_.BoxAt(slot));
+    }
+    if (!SameBits(computed, node.mbr)) return false;
     if (node.IsLeaf()) {
       if (leaf_level_depth < 0) leaf_level_depth = depth;
       if (leaf_level_depth != depth) return false;  // non-uniform depth
-      leaf_entries += node.entries.size();
+      leaf_entries += node.count;
       return true;
     }
-    for (const Entry& e : node.entries) {
-      if (nodes_[e.id].parent != static_cast<int32_t>(node_id)) return false;
-      if (nodes_[e.id].level + 1 != node.level) return false;
-      if (!self(self, e.id, depth + 1)) return false;
+    for (size_t slot = begin; slot < end; ++slot) {
+      const Node& child = nodes_[ids_[slot]];
+      if (child.parent != static_cast<int32_t>(node_id)) return false;
+      if (child.level + 1 != node.level) return false;
+      // The parent's copy of a child's MBR is the child's MBR, bit for bit.
+      if (!SameBits(slab_.BoxAt(slot), child.mbr)) return false;
+      if (!self(self, ids_[slot], depth + 1)) return false;
     }
     return true;
   };
@@ -659,12 +729,12 @@ bool DynamicRTree::CheckInvariants() const {
 double DynamicRTree::TotalSiblingOverlapVolume() const {
   if (size_ == 0) return 0;
   double overlap = 0;
-  for (const Node& node : nodes_) {
-    if (node.IsLeaf() || node.entries.empty()) continue;
-    for (size_t i = 0; i < node.entries.size(); ++i) {
-      for (size_t j = i + 1; j < node.entries.size(); ++j) {
-        overlap +=
-            Intersection(node.entries[i].mbr, node.entries[j].mbr).Volume();
+  for (uint32_t node_id = 0; node_id < nodes_.size(); ++node_id) {
+    const Node& node = nodes_[node_id];
+    if (node.IsLeaf() || node.count == 0) continue;
+    for (size_t i = Slot(node_id); i < Slot(node_id) + node.count; ++i) {
+      for (size_t j = i + 1; j < Slot(node_id) + node.count; ++j) {
+        overlap += Intersection(slab_.BoxAt(i), slab_.BoxAt(j)).Volume();
       }
     }
   }

@@ -1,10 +1,13 @@
 #ifndef TOUCH_INDEX_DYNAMIC_RTREE_H_
 #define TOUCH_INDEX_DYNAMIC_RTREE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "core/overlap_kernel.h"
 #include "geom/box.h"
 #include "util/stats.h"
 
@@ -75,12 +78,19 @@ class DynamicRTree {
   bool Update(uint32_t id, const Box& old_box, const Box& new_box);
 
   /// Invokes `emit(id, box)` for every stored entry whose box intersects
-  /// `query`. Object-level tests are counted in stats->comparisons,
-  /// node-level tests in stats->node_comparisons (stats may be null).
+  /// `query`, in depth-first entry order. Object-level tests are counted in
+  /// stats->comparisons, node-level tests in stats->node_comparisons (stats
+  /// may be null). Const queries may run on several threads at once.
   template <typename Emit>
   void Query(const Box& query, Emit&& emit, JoinStats* stats = nullptr) const {
     if (size_ == 0) return;
-    QueryNode(root_, query, emit, stats);
+    // Borrow this thread's hit buffer; a Query nested in `emit` finds it
+    // empty and grows its own.
+    std::vector<uint32_t>& scratch = ThreadQueryHits();
+    std::vector<uint32_t> hits = std::move(scratch);
+    hits.clear();
+    QueryNode(root_, query, emit, stats, hits);
+    scratch = std::move(hits);
   }
 
   size_t size() const { return size_; }
@@ -91,7 +101,7 @@ class DynamicRTree {
   /// MBR of the whole tree (empty box when the tree is empty).
   Box bounds() const;
 
-  /// Exact bytes held by the structure (nodes + entry vectors).
+  /// Exact bytes held by the structure (node headers + entry arena).
   size_t MemoryUsageBytes() const;
 
   /// Preorder walk for conversion/inspection: `enter(mbr, level, is_leaf,
@@ -102,12 +112,13 @@ class DynamicRTree {
     if (size_ == 0) return;
     const auto walk = [&](auto&& self, uint32_t node_id) -> void {
       const Node& node = nodes_[node_id];
-      enter(node.mbr, node.level, node.IsLeaf(), node.entries.size());
-      for (const Entry& e : node.entries) {
+      enter(node.mbr, node.level, node.IsLeaf(), node.count);
+      for (size_t slot = Slot(node_id); slot < Slot(node_id) + node.count;
+           ++slot) {
         if (node.IsLeaf()) {
-          item(e.id, e.mbr);
+          item(ids_[slot], slab_.BoxAt(slot));
         } else {
-          self(self, e.id);
+          self(self, ids_[slot]);
         }
       }
       exit();
@@ -125,31 +136,56 @@ class DynamicRTree {
   double TotalSiblingOverlapVolume() const;
 
  private:
+  /// One child reference, as the splits and reinsertions handle it.
   struct Entry {
     Box mbr;
     /// Child node id for inner nodes, user id for leaves.
     uint32_t id = 0;
   };
+  /// A node's header. Its entries live in the tree-wide arena: slots
+  /// [Slot(id), Slot(id) + count) of `slab_` (child MBRs, SoA) and `ids_`.
   struct Node {
     Box mbr = Box::Empty();
-    std::vector<Entry> entries;
     int32_t parent = -1;
+    uint32_t count = 0;
     uint8_t level = 0;  // 0 = leaf
 
     bool IsLeaf() const { return level == 0; }
   };
+  static constexpr size_t kNotFound = static_cast<size_t>(-1);
+
+  size_t Slot(uint32_t node_id) const { return node_id * stride_; }
+  Entry EntryAt(size_t slot) const {
+    return Entry{slab_.BoxAt(slot), ids_[slot]};
+  }
+  void Append(uint32_t node_id, const Entry& entry);
+  /// Removes the entry at `slot`, keeping the order of the rest.
+  void EraseSlot(uint32_t node_id, size_t slot);
+  void LoadEntries(uint32_t node_id, std::vector<Entry>* entries) const;
+  void StoreEntries(uint32_t node_id, std::span<const Entry> entries);
+  /// Slot of `child` among `parent`'s entries (kNotFound if absent).
+  size_t ChildSlot(uint32_t parent, uint32_t child) const;
+  /// Slot of the leaf entry with exactly this id and box, or kNotFound.
+  size_t FindEntry(uint32_t id, const Box& box);
+  size_t FindIn(uint32_t node_id, uint32_t id, const Box& box,
+                const Box& inverted);
+  static std::vector<uint32_t>& ThreadQueryHits();
 
   uint32_t AllocNode(uint8_t level);
   void RecomputeMbr(uint32_t node_id);
-  /// Recomputes the MBR of `node_id` and of every ancestor, refreshing the
-  /// cached entry copy each parent holds for its child on the way up.
+  /// Recomputes the MBR of `node_id` and of its ancestors, refreshing the
+  /// copy each parent holds for its child on the way up; stops where a
+  /// node's MBR and its parent's copy are both unchanged, since every
+  /// ancestor above is then unchanged too.
   void SyncUpward(uint32_t node_id);
   uint32_t ChooseSubtree(const Box& box, uint8_t target_level) const;
   void InsertEntry(const Entry& entry, uint8_t target_level, int depth);
-  /// Handles an overflowing node: R* forced reinsertion (once per level per
-  /// top-level insertion) or a split, propagating upward.
-  void HandleOverflow(uint32_t node_id, int depth);
-  void SplitNode(uint32_t node_id);
+  /// Handles `extra` arriving at a full node: R* forced reinsertion (once
+  /// per level per top-level insertion) or a split, propagating upward.
+  void HandleOverflow(uint32_t node_id, const Entry& extra, int depth);
+  /// Splits a node into itself and a new sibling; `entries` are its
+  /// entries plus the one that overflowed it.
+  void SplitNode(uint32_t node_id, std::vector<Entry>& entries);
   /// Quadratic pick-seeds + pick-next (Guttman).
   void QuadraticSplit(std::vector<Entry>& entries, std::vector<Entry>* left,
                       std::vector<Entry>* right) const;
@@ -158,35 +194,49 @@ class DynamicRTree {
                   std::vector<Entry>* right) const;
   void CondenseTree(uint32_t node_id);
 
+  /// Tests the node's children with the SIMD overlap kernel; `hits` is a
+  /// stack shared by the whole descent (each level truncates its own hits).
   template <typename Emit>
-  void QueryNode(uint32_t node_id, const Box& query, Emit&& emit,
-                 JoinStats* stats) const {
+  void QueryNode(uint32_t node_id, const Box& query, Emit& emit,
+                 JoinStats* stats, std::vector<uint32_t>& hits) const {
     const Node& node = nodes_[node_id];
-    for (const Entry& entry : node.entries) {
-      if (stats != nullptr) {
-        if (node.IsLeaf()) {
-          ++stats->comparisons;
-        } else {
-          ++stats->node_comparisons;
-        }
-      }
-      if (!Intersects(entry.mbr, query)) continue;
+    const size_t begin = Slot(node_id);
+    const size_t first = hits.size();
+    const size_t tested =
+        CollectOverlaps(slab_, begin, begin + node.count, query, hits);
+    const size_t last = hits.size();
+    if (stats != nullptr) {
+      (node.IsLeaf() ? stats->comparisons : stats->node_comparisons) +=
+          tested;
+    }
+    for (size_t k = first; k < last; ++k) {
+      const uint32_t slot = hits[k];
       if (node.IsLeaf()) {
-        emit(entry.id, entry.mbr);
+        emit(ids_[slot], slab_.BoxAt(slot));
       } else {
-        QueryNode(entry.id, query, emit, stats);
+        QueryNode(ids_[slot], query, emit, stats, hits);
       }
     }
+    hits.resize(first);
   }
 
   Options options_;
+  /// Arena slots per node: max_entries rounded up to BoxSlab::kPad (an
+  /// entry that overflows a node only joins the split's entry list).
+  size_t stride_ = 0;
   std::vector<Node> nodes_;
+  /// Child MBRs (inner nodes) or object boxes (leaves), `stride_` slots per
+  /// node; `ids_` holds the matching child node ids or object ids.
+  BoxSlab slab_;
+  std::vector<uint32_t> ids_;
   std::vector<uint32_t> free_nodes_;
   uint32_t root_ = 0;
   size_t size_ = 0;
   /// Levels that already used forced reinsertion during the current
   /// top-level Insert (R* applies it once per level per insertion).
   std::vector<bool> reinserted_levels_;
+  /// The leaf search's hit stack, reused across operations.
+  std::vector<uint32_t> find_hits_;
 };
 
 }  // namespace touch

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <iterator>
 #include <limits>
@@ -573,6 +574,134 @@ TEST(ContinuousJoinTest, DeltaSequenceEqualsTwoWindowReference) {
   }
   handle_a.Cancel();
   handle_b.Cancel();
+}
+
+/// A RecordingSink that, once armed, raises a Cancel from another thread at
+/// its `cancel_at`-th recorded delta and waits until the stop is visible,
+/// so the cancel lands between two deltas of one burst. (Cancel itself
+/// waits for the burst to end, so it cannot run on the emitting thread.)
+struct CancelPlan {
+  std::atomic<size_t> cancel_at{std::numeric_limits<size_t>::max()};
+  RequestHandle* handle = nullptr;
+  std::thread canceller;
+};
+
+class CancellingSink : public RecordingSink {
+ public:
+  CancellingSink(std::shared_ptr<std::vector<Delta>> out,
+                 std::shared_ptr<CancelPlan> plan)
+      : RecordingSink(out), out_(std::move(out)), plan_(std::move(plan)) {}
+  void EmitDelta(DeltaKind kind, uint32_t a_id, uint32_t b_id) override {
+    RecordingSink::EmitDelta(kind, a_id, b_id);
+    if (out_->size() != plan_->cancel_at.load()) return;
+    RequestHandle* handle = plan_->handle;
+    plan_->canceller = std::thread([handle] { handle->Cancel(); });
+    while (!handle->token().stop_requested()) std::this_thread::yield();
+  }
+
+ private:
+  std::shared_ptr<std::vector<Delta>> out_;
+  std::shared_ptr<CancelPlan> plan_;
+};
+
+// The delta probe runs in chunks on the pool's idle workers, but emits on
+// the mutating thread in net order: a batch spanning many chunks (and more
+// than one round of them) must give exactly the reference sequence at every
+// pool size, the baseline must be the same sequence at every pool size, and
+// a cancel raised mid-burst must leave a prefix of the sequence.
+TEST(ContinuousJoinTest, ChunkedDeltaProbeKeepsOrderAtEveryPoolSize) {
+  const float epsilon = 2.0f;
+  SyntheticOptions dense;
+  dense.space = 200.0f;
+  const Dataset moving =
+      GenerateSynthetic(Distribution::kClustered, 6000, 81, dense);
+  const Dataset partner =
+      GenerateSynthetic(Distribution::kClustered, 3000, 82, dense);
+  Rng rng(83);
+  std::vector<Mutation> batch;
+  for (uint32_t id = 0; id < 5000; ++id) {
+    const float d = id % 10 == 0 ? 100.0f : 2.0f;  // far jumps and nudges
+    const Vec3 shift((rng.NextFloat() - 0.5f) * d,
+                     (rng.NextFloat() - 0.5f) * d,
+                     (rng.NextFloat() - 0.5f) * d);
+    batch.push_back({MutationKind::kUpdate, id,
+                     Box(moving[id].lo + shift, moving[id].hi + shift)});
+  }
+  for (uint32_t id = 5000; id < 5200; ++id) {
+    batch.push_back({MutationKind::kDelete, id, Box()});
+  }
+  for (uint32_t k = 0; k < 200; ++k) {
+    batch.push_back({MutationKind::kInsert,
+                     static_cast<uint32_t>(moving.size()) + k,
+                     RandomBox(rng, 200.0f, 4.0f)});
+  }
+
+  // The burst forks onto the pool only when no request is in flight; the
+  // baseline's helper tasks may still be winding down after Submit.
+  const auto wait_idle = [](const QueryEngine& engine) {
+    while (engine.pool().busy_workers() != 0 ||
+           engine.pool().queue_depth() != 0) {
+      std::this_thread::yield();
+    }
+  };
+  std::vector<std::vector<Delta>> baselines;
+  std::vector<Delta> expect;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    EngineOptions options;
+    options.threads = threads;
+    QueryEngine engine(options);
+    const DatasetHandle m = engine.RegisterDataset("moving", moving);
+    const DatasetHandle p = engine.RegisterDataset("partner", partner);
+    auto deltas = std::make_shared<std::vector<Delta>>();
+    JoinRequest request{m, p, epsilon};
+    request.continuous = true;
+    RequestHandle handle =
+        engine.Submit(request, std::make_unique<RecordingSink>(deltas));
+    baselines.push_back(*deltas);
+
+    const DatasetSnapshotPtr before = engine.catalog().snapshot(m);
+    if (expect.empty()) {
+      expect = ReferenceDeltas(*before, *engine.catalog().snapshot(p), batch,
+                               epsilon, true);
+      ASSERT_GT(expect.size(), 10000u);
+    }
+    deltas->clear();
+    wait_idle(engine);
+    engine.ApplyMutations(m, batch);
+    EXPECT_EQ(*deltas, expect);
+    handle.Cancel();
+
+    // Again, cancelled from the sink: halfway through the burst (in its
+    // first round of probes) and at nine tenths (in its last).
+    for (const size_t cancel_at :
+         {expect.size() / 2, expect.size() * 9 / 10}) {
+      SCOPED_TRACE(cancel_at);
+      QueryEngine cancelled(options);
+      const DatasetHandle cm = cancelled.RegisterDataset("moving", moving);
+      const DatasetHandle cp = cancelled.RegisterDataset("partner", partner);
+      auto partial = std::make_shared<std::vector<Delta>>();
+      auto plan = std::make_shared<CancelPlan>();
+      JoinRequest cancel_request{cm, cp, epsilon};
+      cancel_request.continuous = true;
+      RequestHandle cancel_handle = cancelled.Submit(
+          cancel_request, std::make_unique<CancellingSink>(partial, plan));
+      plan->handle = &cancel_handle;
+      partial->clear();
+      plan->cancel_at = cancel_at;
+      wait_idle(cancelled);
+      cancelled.ApplyMutations(cm, batch);
+      ASSERT_TRUE(plan->canceller.joinable());
+      plan->canceller.join();
+      EXPECT_EQ(cancel_handle.Get().status, RequestStatus::kCancelled);
+      ASSERT_GE(partial->size(), cancel_at);
+      ASSERT_LT(partial->size(), expect.size());
+      EXPECT_TRUE(
+          std::equal(partial->begin(), partial->end(), expect.begin()));
+    }
+  }
+  ASSERT_GT(baselines[0].size(), 1000u);
+  EXPECT_EQ(baselines[0], baselines[1]);
 }
 
 // --- invalid mutation boxes --------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "datagen/distributions.h"
@@ -300,6 +301,148 @@ INSTANTIATE_TEST_SUITE_P(Variants, DynamicRTreeVariantTest,
                                       ? "Guttman"
                                       : "RStar";
                          });
+
+// --- Tree evolution golden ---------------------------------------------------
+
+/// FNV-1a over 32-bit words.
+uint64_t Fold(uint64_t hash, uint32_t word) {
+  for (int byte = 0; byte < 4; ++byte) {
+    hash ^= (word >> (8 * byte)) & 0xffu;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+uint64_t FoldBox(uint64_t hash, const Box& box) {
+  for (const float f : {box.lo.x, box.lo.y, box.lo.z, box.hi.x, box.hi.y,
+                        box.hi.z}) {
+    hash = Fold(hash, std::bit_cast<uint32_t>(f));
+  }
+  return hash;
+}
+
+/// The tree's whole shape in preorder: every node's MBR bits, level and
+/// child count, and every leaf entry's id and box bits, in stored order.
+uint64_t ShapeHash(const DynamicRTree& tree, uint64_t hash) {
+  tree.VisitNodes(
+      [&](const Box& mbr, uint8_t level, bool is_leaf, size_t children) {
+        hash = FoldBox(Fold(hash, 0xE17E4u), mbr);
+        hash = Fold(hash, level);
+        hash = Fold(hash, is_leaf ? 1u : 0u);
+        hash = Fold(hash, static_cast<uint32_t>(children));
+      },
+      [&](uint32_t id, const Box& box) { hash = FoldBox(Fold(hash, id), box); },
+      [&] { hash = Fold(hash, 0xE417u); });
+  return hash;
+}
+
+struct Evolution {
+  uint64_t shape = 0xcbf29ce484222325ULL;
+  uint64_t comparisons = 0;
+  uint64_t node_comparisons = 0;
+};
+
+/// One seeded mixed sequence: a bulk load, then inserts into a hot spot
+/// (splits, R* forced reinsertion), removals and short and far updates
+/// (condenses, orphan reinsertion, remove + reinsert), then a drain to a
+/// handful of entries (root shrinks). The shape is folded and queried over
+/// fixed windows at checkpoints along the way.
+Evolution Evolve(RTreeVariant variant, uint32_t max_entries) {
+  const uint32_t min_entries = max_entries == 16 ? 6 : max_entries / 2;
+  DynamicRTree tree(MakeOptions(variant, max_entries, min_entries));
+  const Dataset start = GenerateSynthetic(Distribution::kClustered, 700, 61);
+  tree.BulkLoad(start);
+  std::vector<std::pair<uint32_t, Box>> live;
+  for (uint32_t i = 0; i < start.size(); ++i) live.emplace_back(i, start[i]);
+  uint32_t next_id = static_cast<uint32_t>(start.size());
+  Rng rng(62 + max_entries);
+  Evolution out;
+  const auto checkpoint = [&] {
+    out.shape = ShapeHash(tree, out.shape);
+    JoinStats stats;
+    Rng windows(63);
+    for (int q = 0; q < 40; ++q) {
+      const Box window = CenteredBox(windows.NextFloat() * 1000.0f,
+                                     windows.NextFloat() * 1000.0f,
+                                     windows.NextFloat() * 1000.0f, 60.0f);
+      tree.Query(window, [](uint32_t, const Box&) {}, &stats);
+    }
+    out.comparisons += stats.comparisons;
+    out.node_comparisons += stats.node_comparisons;
+  };
+  checkpoint();
+  for (int op = 0; op < 2500; ++op) {
+    const uint64_t dice = rng.UniformInt(10);
+    if (live.empty() || dice < 3) {
+      // Half the inserts pile into one hot spot, overflowing its leaves.
+      const bool hot = rng.UniformInt(2) == 0;
+      const Box box =
+          hot ? CenteredBox(300 + rng.NextFloat() * 20.0f,
+                            300 + rng.NextFloat() * 20.0f,
+                            300 + rng.NextFloat() * 20.0f, 2.0f)
+              : CenteredBox(rng.NextFloat() * 1000.0f,
+                            rng.NextFloat() * 1000.0f,
+                            rng.NextFloat() * 1000.0f, 3.0f);
+      tree.Insert(next_id, box);
+      live.emplace_back(next_id++, box);
+    } else if (dice < 5) {
+      const size_t victim = rng.UniformInt(live.size());
+      EXPECT_TRUE(tree.Remove(live[victim].first, live[victim].second));
+      live[victim] = live.back();
+      live.pop_back();
+    } else {
+      auto& [id, box] = live[rng.UniformInt(live.size())];
+      const float d = dice < 8 ? 1.0f : 400.0f;  // nudge or far jump
+      const Vec3 shift((rng.NextFloat() - 0.5f) * d,
+                       (rng.NextFloat() - 0.5f) * d,
+                       (rng.NextFloat() - 0.5f) * d);
+      const Box moved(box.lo + shift, box.hi + shift);
+      EXPECT_TRUE(tree.Update(id, box, moved));
+      box = moved;
+    }
+    if (op % 500 == 499) checkpoint();
+  }
+  // Drain in random order down to a few entries.
+  while (live.size() > 5) {
+    const size_t victim = rng.UniformInt(live.size());
+    EXPECT_TRUE(tree.Remove(live[victim].first, live[victim].second));
+    live[victim] = live.back();
+    live.pop_back();
+    if (live.size() % 97 == 0) out.shape = ShapeHash(tree, out.shape);
+  }
+  EXPECT_TRUE(tree.CheckInvariants());
+  checkpoint();
+  return out;
+}
+
+// The node layout is storage only: for both variants and fanouts 2, 4 and
+// 16, the mixed sequence must leave every split, condense, reinsertion and
+// root shrink exactly where the entry-vector layout left them, and the
+// queries must test exactly as many nodes and objects.
+TEST(DynamicRTreeGoldenTest, TreeEvolutionIsUnchanged) {
+  struct Expected {
+    RTreeVariant variant;
+    uint32_t max_entries;
+    uint64_t shape;
+    uint64_t comparisons;
+    uint64_t node_comparisons;
+  };
+  const Expected expected[] = {
+      {RTreeVariant::kGuttman, 2, 0xb1b356c0e6f37e81ULL, 563, 22692},
+      {RTreeVariant::kGuttman, 4, 0x0027efb2519b113cULL, 1517, 10522},
+      {RTreeVariant::kGuttman, 16, 0x3dfb97957522d775ULL, 5892, 6281},
+      {RTreeVariant::kRStar, 2, 0x066f28fcfa3bdb7eULL, 581, 29932},
+      {RTreeVariant::kRStar, 4, 0xdb6879513f371507ULL, 1717, 10918},
+      {RTreeVariant::kRStar, 16, 0xe91827acfe10f9a3ULL, 5853, 5943},
+  };
+  for (const Expected& e : expected) {
+    const Evolution got = Evolve(e.variant, e.max_entries);
+    EXPECT_EQ(got.shape, e.shape) << "M=" << e.max_entries;
+    EXPECT_EQ(got.comparisons, e.comparisons) << "M=" << e.max_entries;
+    EXPECT_EQ(got.node_comparisons, e.node_comparisons)
+        << "M=" << e.max_entries;
+  }
+}
 
 // --- R*-specific behaviour ---------------------------------------------------
 
