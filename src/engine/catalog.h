@@ -259,10 +259,8 @@ class DatasetCatalog {
   /// Runs `read(tree)` on the dataset's backing DynamicRTree under the
   /// dataset's lock, taken once for all of `read`: the standing join's
   /// baseline and delta-probe primitive (each window O(log n + answers), no
-  /// geometry rescans). `read` may run the tree's const Query on other
-  /// threads too, as long as they finish before it returns; it must not
-  /// call into the catalog. The first call on a never-mutated dataset
-  /// materializes the tree.
+  /// geometry rescans). `read` must not call into the catalog. The first
+  /// call on a never-mutated dataset materializes the tree.
   void ReadTree(DatasetHandle handle,
                 const std::function<void(const DynamicRTree&)>& read) const
       EXCLUDES(mutex_);

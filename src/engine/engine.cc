@@ -802,14 +802,11 @@ uint64_t QueryEngine::ApplyMutations(DatasetHandle dataset,
         (sub.request.a == dataset || sub.request.b == dataset)) {
       SpanScope probe_span(mutate_span.context(), "delta-probe");
       const Timer probe_timer;
-      HelperSet helpers;
-      const DeltaProbeCounts counts =
-          DeltaProbeLocked(sub, dataset, net, &helpers);
+      const DeltaProbeCounts counts = DeltaProbeLocked(sub, dataset, net);
       metrics_->histogram("touch_delta_probe_seconds")
           .Observe(probe_timer.Seconds());
       probe_span.AddAttr("deltas", std::to_string(counts.deltas));
       probe_span.AddAttr("probes", std::to_string(counts.probes));
-      probe_span.AddAttr("helpers", std::to_string(helpers.count()));
       metrics_->counter("touch_delta_results_total").Increment(counts.deltas);
     }
     ++it;
@@ -1029,80 +1026,52 @@ BatchHandle QueryEngine::SubmitBatch(std::span<const JoinRequest> requests,
 
 namespace {
 
-/// One delta a probe found, held until the mutating thread emits it.
+/// One delta a probe found, held until the round's catalog lock is
+/// released.
 struct PendingDelta {
   DeltaKind kind;
   uint32_t a_id;
   uint32_t b_id;
 };
 
-/// The deltas of one chunk of objects, in object order: `ends[k]` closes
-/// the k-th object's run. A chunk a stop cut short has fewer runs than
-/// objects.
-struct DeltaChunk {
-  std::vector<PendingDelta> deltas;
-  std::vector<size_t> ends;
-  size_t probes = 0;
-};
-
-/// Objects per fork-join chunk, and per round: one catalog lock, one
-/// ForkJoin, then one emission pass, which bounds the deltas held at once.
-constexpr size_t kProbeChunk = 64;
-constexpr size_t kProbeRound = 64 * kProbeChunk;
+/// Objects per round: one catalog lock, then one emission pass, which
+/// bounds the lock's hold time and the deltas held at once.
+constexpr size_t kProbeRound = 4096;
 
 }  // namespace
 
 template <typename Probe>
-QueryEngine::DeltaProbeCounts QueryEngine::ProbeInOrder(
-    DatasetHandle partner, size_t n, const CancellationSource& cancel,
-    ResultSink& sink, HelperSet* helpers, const Probe& probe) {
-  DeltaProbeCounts counts;
-  // Helpers only from a pool with no request in flight. ForkJoin offers a
-  // request's helpers when the request forks, so workers a burst held at
-  // that moment would leave that request's whole phase short of them.
-  WorkerPool* pool =
-      pool_.busy_workers() == 0 && pool_.queue_depth() == 0 ? &pool_ : nullptr;
-  std::vector<DeltaChunk> chunks;
+size_t QueryEngine::ProbeInOrder(DatasetHandle partner, size_t n,
+                                 const CancellationSource& cancel,
+                                 ResultSink& sink, const Probe& probe) {
+  size_t emitted = 0;
+  std::vector<PendingDelta> deltas;
+  std::vector<size_t> ends;  // ends[k] closes the k-th object's run
   for (size_t round = 0; round < n; round += kProbeRound) {
     const size_t round_end = std::min(n, round + kProbeRound);
-    chunks.assign((round_end - round + kProbeChunk - 1) / kProbeChunk, {});
-    const auto chunk_end = [&](size_t c) {
-      return std::min(round_end, round + (c + 1) * kProbeChunk);
-    };
+    deltas.clear();
+    ends.clear();
     catalog_.ReadTree(partner, [&](const DynamicRTree& tree) {
-      ForkJoin(
-          pool, chunks.size(),
-          [&](size_t c, size_t slot) {
-            DeltaChunk& chunk = chunks[c];
-            for (size_t i = round + c * kProbeChunk; i < chunk_end(c); ++i) {
-              if (cancel.stop_requested()) return;
-              probe(i, tree, slot, chunk);
-              chunk.ends.push_back(chunk.deltas.size());
-            }
-          },
-          helpers);
+      for (size_t i = round; i < round_end; ++i) {
+        if (cancel.stop_requested()) return;
+        probe(i, tree, deltas);
+        ends.push_back(deltas.size());
+      }
     });
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      const DeltaChunk& chunk = chunks[c];
-      size_t begin = 0;
-      for (const size_t end : chunk.ends) {
-        // Cooperative cancellation between objects: a standing query being
-        // torn down must not hold the mutation path for the whole burst.
-        if (cancel.stop_requested()) return counts;
-        for (size_t k = begin; k < end; ++k) {
-          sink.EmitDelta(chunk.deltas[k].kind, chunk.deltas[k].a_id,
-                         chunk.deltas[k].b_id);
-        }
-        counts.deltas += end - begin;
-        begin = end;
+    size_t begin = 0;
+    for (const size_t end : ends) {
+      // Cooperative cancellation between objects: a standing query being
+      // torn down must not hold the mutation path for the whole burst.
+      if (cancel.stop_requested()) return emitted;
+      for (size_t k = begin; k < end; ++k) {
+        sink.EmitDelta(deltas[k].kind, deltas[k].a_id, deltas[k].b_id);
       }
-      counts.probes += chunk.probes;
-      if (chunk.ends.size() < chunk_end(c) - (round + c * kProbeChunk)) {
-        return counts;  // a stop cut the chunk short
-      }
+      emitted += end - begin;
+      begin = end;
     }
+    if (ends.size() < round_end - round) return emitted;  // a stop cut it
   }
-  return counts;
+  return emitted;
 }
 
 RequestHandle QueryEngine::SubmitContinuous(
@@ -1136,26 +1105,21 @@ RequestHandle QueryEngine::SubmitContinuous(
   TraceContext root{state->tracer, state->trace_id, state->root_span_id};
   SpanScope baseline_span(root, "baseline-join");
   const DatasetSnapshotPtr snap_a = catalog_.snapshot(request.a);
-  HelperSet helpers;
   size_t deltas = 0;
   {
     MutexLock emit_lock(state->cont_sink_mutex);
     deltas = ProbeInOrder(
-                 request.b, snap_a->boxes.size(), state->cancel, *state->sink,
-                 &helpers,
-                 [&](size_t slot, const DynamicRTree& tree, size_t,
-                     DeltaChunk& chunk) {
-                   const uint32_t a_id = snap_a->id_of(slot);
-                   tree.Query(snap_a->boxes[slot].Enlarged(request.epsilon),
-                              [&](uint32_t b_id, const Box&) {
-                                chunk.deltas.push_back(
-                                    {DeltaKind::kAdded, a_id, b_id});
-                              });
-                 })
-                 .deltas;
+        request.b, snap_a->boxes.size(), state->cancel, *state->sink,
+        [&](size_t slot, const DynamicRTree& tree,
+            std::vector<PendingDelta>& out) {
+          const uint32_t a_id = snap_a->id_of(slot);
+          tree.Query(snap_a->boxes[slot].Enlarged(request.epsilon),
+                     [&](uint32_t b_id, const Box&) {
+                       out.push_back({DeltaKind::kAdded, a_id, b_id});
+                     });
+        });
   }
   baseline_span.AddAttr("deltas", std::to_string(deltas));
-  baseline_span.AddAttr("helpers", std::to_string(helpers.count()));
   baseline_span.End();
   metrics_->counter("touch_delta_results_total").Increment(deltas);
   if (state->cancel.stop_requested()) {
@@ -1178,7 +1142,7 @@ RequestHandle QueryEngine::SubmitContinuous(
 
 QueryEngine::DeltaProbeCounts QueryEngine::DeltaProbeLocked(
     internal::RequestState& state, DatasetHandle mutated,
-    std::span<const AppliedMutation> net, HelperSet* helpers) {
+    std::span<const AppliedMutation> net) {
   const bool mutated_is_a = state.request.a == mutated;
   const DatasetHandle partner =
       mutated_is_a ? state.request.b : state.request.a;
@@ -1193,16 +1157,14 @@ QueryEngine::DeltaProbeCounts QueryEngine::DeltaProbeLocked(
       state.delivered.load(std::memory_order_acquire)) {
     return {};
   }
-  // Per-slot id lists, reused across the objects a worker probes.
-  std::vector<std::vector<uint32_t>> old_ids(ForkJoinSlots(&pool_));
-  std::vector<std::vector<uint32_t>> new_ids(ForkJoinSlots(&pool_));
-  const auto probe = [&](size_t i, const DynamicRTree& tree, size_t slot,
-                         DeltaChunk& chunk) {
+  DeltaProbeCounts counts;
+  std::vector<uint32_t> old_ids;  // reused across the objects
+  std::vector<uint32_t> new_ids;
+  const auto probe = [&](size_t i, const DynamicRTree& tree,
+                         std::vector<PendingDelta>& out) {
     const AppliedMutation& m = net[i];
-    std::vector<uint32_t>& olds = old_ids[slot];
-    std::vector<uint32_t>& news = new_ids[slot];
-    olds.clear();
-    news.clear();
+    old_ids.clear();
+    new_ids.clear();
     // The epsilon window moves with the object: pairs live in the old
     // window, the new window, or both. Enlarging the moved side is
     // equivalent to enlarging the partner (closed-box intersection is
@@ -1214,39 +1176,39 @@ QueryEngine::DeltaProbeCounts QueryEngine::DeltaProbeLocked(
       // sorted by the very leaf test a probe of either window applies, so
       // both id lists are exactly the two probes' answers.
       tree.Query(Union(old_win, new_win), [&](uint32_t id, const Box& box) {
-        if (Intersects(box, old_win)) olds.push_back(id);
-        if (Intersects(box, new_win)) news.push_back(id);
+        if (Intersects(box, old_win)) old_ids.push_back(id);
+        if (Intersects(box, new_win)) new_ids.push_back(id);
       });
-      ++chunk.probes;
+      ++counts.probes;
     } else {
       if (m.had_old) {
         tree.Query(old_win,
-                   [&](uint32_t id, const Box&) { olds.push_back(id); });
-        ++chunk.probes;
+                   [&](uint32_t id, const Box&) { old_ids.push_back(id); });
+        ++counts.probes;
       }
       if (m.has_new) {
         tree.Query(new_win,
-                   [&](uint32_t id, const Box&) { news.push_back(id); });
-        ++chunk.probes;
+                   [&](uint32_t id, const Box&) { new_ids.push_back(id); });
+        ++counts.probes;
       }
     }
-    std::sort(olds.begin(), olds.end());
-    std::sort(news.begin(), news.end());
+    std::sort(old_ids.begin(), old_ids.end());
+    std::sort(new_ids.begin(), new_ids.end());
     const auto emit = [&](DeltaKind kind, uint32_t partner_id) {
-      chunk.deltas.push_back(mutated_is_a
-                                 ? PendingDelta{kind, m.id, partner_id}
+      out.push_back(mutated_is_a ? PendingDelta{kind, m.id, partner_id}
                                  : PendingDelta{kind, partner_id, m.id});
     };
     // Merge-diff: in-old-only pairs left the result set, in-new-only pairs
     // entered it, in-both pairs persist and emit nothing.
     size_t oi = 0;
     size_t ni = 0;
-    while (oi < olds.size() || ni < news.size()) {
-      if (ni == news.size() || (oi < olds.size() && olds[oi] < news[ni])) {
-        emit(DeltaKind::kRemoved, olds[oi]);
+    while (oi < old_ids.size() || ni < new_ids.size()) {
+      if (ni == new_ids.size() ||
+          (oi < old_ids.size() && old_ids[oi] < new_ids[ni])) {
+        emit(DeltaKind::kRemoved, old_ids[oi]);
         ++oi;
-      } else if (oi == olds.size() || news[ni] < olds[oi]) {
-        emit(DeltaKind::kAdded, news[ni]);
+      } else if (oi == old_ids.size() || new_ids[ni] < old_ids[oi]) {
+        emit(DeltaKind::kAdded, new_ids[ni]);
         ++ni;
       } else {
         ++oi;
@@ -1254,8 +1216,9 @@ QueryEngine::DeltaProbeCounts QueryEngine::DeltaProbeLocked(
       }
     }
   };
-  return ProbeInOrder(partner, net.size(), state.cancel, *state.sink, helpers,
-                      probe);
+  counts.deltas =
+      ProbeInOrder(partner, net.size(), state.cancel, *state.sink, probe);
+  return counts;
 }
 
 // --- Synchronous wrappers ---------------------------------------------------

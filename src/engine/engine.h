@@ -542,25 +542,21 @@ class QueryEngine {
     size_t probes = 0;
   };
   /// Probes objects [0, n) of a standing join against `partner`'s tree and
-  /// emits their deltas to `sink` in object order. `probe(i, tree, slot,
-  /// chunk)` appends object i's deltas to `chunk`; it runs on this thread
-  /// and, when no request is in flight, on the pool's workers (ForkJoin
-  /// slot `slot`), under one catalog lock per round of objects, and only
-  /// reads. The sink is called here alone, after the lock is released; a
-  /// stop seen between two objects ends the emission there, so what was
-  /// emitted is a prefix of the uncancelled sequence. `helpers` records
-  /// the workers that helped.
+  /// emits their deltas to `sink` in object order; returns the deltas
+  /// emitted. `probe(i, tree, out)` appends object i's deltas to `out`. It
+  /// runs under one catalog lock per round of objects and only reads; the
+  /// sink is called after the lock is released. A stop seen between two
+  /// objects ends the emission there, so what was emitted is a prefix of
+  /// the uncancelled sequence.
   template <typename Probe>
-  DeltaProbeCounts ProbeInOrder(DatasetHandle partner, size_t n,
-                                const CancellationSource& cancel,
-                                ResultSink& sink, HelperSet* helpers,
-                                const Probe& probe);
+  size_t ProbeInOrder(DatasetHandle partner, size_t n,
+                      const CancellationSource& cancel, ResultSink& sink,
+                      const Probe& probe);
   /// Emits one subscription's delta burst for a folded mutation batch
   /// through ProbeInOrder. delta_sink_mutex_ held.
   DeltaProbeCounts DeltaProbeLocked(internal::RequestState& state,
                                     DatasetHandle mutated,
-                                    std::span<const AppliedMutation> net,
-                                    HelperSet* helpers)
+                                    std::span<const AppliedMutation> net)
       REQUIRES(delta_sink_mutex_);
 
   EngineOptions options_;

@@ -604,12 +604,12 @@ class CancellingSink : public RecordingSink {
   std::shared_ptr<CancelPlan> plan_;
 };
 
-// The delta probe runs in chunks on the pool's idle workers, but emits on
-// the mutating thread in net order: a batch spanning many chunks (and more
-// than one round of them) must give exactly the reference sequence at every
-// pool size, the baseline must be the same sequence at every pool size, and
-// a cancel raised mid-burst must leave a prefix of the sequence.
-TEST(ContinuousJoinTest, ChunkedDeltaProbeKeepsOrderAtEveryPoolSize) {
+// The delta probe buffers each round of objects' deltas under one lock of
+// the partner's tree and emits them afterwards in net order: a batch
+// spanning more than one round must give exactly the reference sequence at
+// every pool size, the baseline must be the same sequence at every pool
+// size, and a cancel raised mid-burst must leave a prefix of the sequence.
+TEST(ContinuousJoinTest, BufferedDeltaProbeKeepsOrderAtEveryPoolSize) {
   const float epsilon = 2.0f;
   SyntheticOptions dense;
   dense.space = 200.0f;
@@ -636,14 +636,6 @@ TEST(ContinuousJoinTest, ChunkedDeltaProbeKeepsOrderAtEveryPoolSize) {
                      RandomBox(rng, 200.0f, 4.0f)});
   }
 
-  // The burst forks onto the pool only when no request is in flight; the
-  // baseline's helper tasks may still be winding down after Submit.
-  const auto wait_idle = [](const QueryEngine& engine) {
-    while (engine.pool().busy_workers() != 0 ||
-           engine.pool().queue_depth() != 0) {
-      std::this_thread::yield();
-    }
-  };
   std::vector<std::vector<Delta>> baselines;
   std::vector<Delta> expect;
   for (const int threads : {1, 4}) {
@@ -667,7 +659,6 @@ TEST(ContinuousJoinTest, ChunkedDeltaProbeKeepsOrderAtEveryPoolSize) {
       ASSERT_GT(expect.size(), 10000u);
     }
     deltas->clear();
-    wait_idle(engine);
     engine.ApplyMutations(m, batch);
     EXPECT_EQ(*deltas, expect);
     handle.Cancel();
@@ -689,7 +680,6 @@ TEST(ContinuousJoinTest, ChunkedDeltaProbeKeepsOrderAtEveryPoolSize) {
       plan->handle = &cancel_handle;
       partial->clear();
       plan->cancel_at = cancel_at;
-      wait_idle(cancelled);
       cancelled.ApplyMutations(cm, batch);
       ASSERT_TRUE(plan->canceller.joinable());
       plan->canceller.join();

@@ -224,26 +224,14 @@ TEST_F(EngineTraceTest, DeltaProbeSpansCountTheirTreeTraversals) {
   const TraceView view(*tracer_);
   const SpanRecord* probe = view.Find("delta-probe");
   ASSERT_NE(probe, nullptr);
-  const auto attr = [](const SpanRecord* span,
-                       const std::string& key) -> std::string {
-    for (const SpanAttr& kv : span->attrs) {
+  const auto attr = [&](const std::string& key) -> std::string {
+    for (const SpanAttr& kv : probe->attrs) {
       if (kv.first == key) return kv.second;
     }
     return "";
   };
-  EXPECT_EQ(attr(probe, "probes"), "5");
-  EXPECT_FALSE(attr(probe, "deltas").empty());
-  // Both probe paths name the pool workers that helped, as the TOUCH
-  // phases do. Four objects are one chunk, which ForkJoin never offers to
-  // a helper; the baseline's 4,000 are many chunks, any of which the
-  // pool's workers may take.
-  EXPECT_EQ(attr(probe, "helpers"), "0");
-  const SpanRecord* baseline = view.Find("baseline-join");
-  ASSERT_NE(baseline, nullptr);
-  const std::string helpers = attr(baseline, "helpers");
-  ASSERT_FALSE(helpers.empty());
-  EXPECT_GE(std::stoi(helpers), 0);
-  EXPECT_LE(std::stoi(helpers), engine.threads());
+  EXPECT_EQ(attr("probes"), "5");
+  EXPECT_FALSE(attr("deltas").empty());
   EXPECT_EQ(metrics_->histogram("touch_delta_probe_seconds").Count(), 1u);
 
   handle.Cancel();
