@@ -5,7 +5,6 @@
 #include "join/nested_loop.h"
 #include "join/plane_sweep.h"
 #include "join/rtree_join.h"
-#include "join/sssj.h"
 
 namespace touch {
 
@@ -20,10 +19,6 @@ std::unique_ptr<SpatialJoinAlgorithm> MakeAlgorithm(
   }
   if (name.rfind("pbsm-", 0) == 0) return nullptr;  // bad <res>
   if (name == "s3") return std::make_unique<S3Join>(config.s3);
-  if (name == "seeded") {
-    return std::make_unique<SeededTreeJoin>(config.seeded);
-  }
-  if (name == "sssj") return std::make_unique<SssjJoin>(config.sssj);
   if (name == "rtree") return std::make_unique<RTreeSyncJoin>(config.rtree);
   if (name == "rtree-hilbert") {
     RTreeJoinOptions options = config.rtree;
@@ -44,16 +39,6 @@ std::unique_ptr<SpatialJoinAlgorithm> MakeAlgorithm(
   if (name == "inl") {
     return std::make_unique<IndexedNestedLoopJoin>(config.rtree);
   }
-  if (name == "rplus") return std::make_unique<RPlusJoin>(config.rplus);
-  if (name == "octree") return std::make_unique<OctreeJoin>(config.octree);
-  if (name == "nbps") return std::make_unique<NbpsJoin>(config.nbps);
-  if (name.rfind("nbps-", 0) == 0) {
-    const int resolution = std::atoi(name.c_str() + 5);
-    if (resolution <= 0) return nullptr;
-    NbpsOptions options = config.nbps;
-    options.resolution = resolution;
-    return std::make_unique<NbpsJoin>(options);
-  }
   if (name == "touch") return std::make_unique<TouchJoin>(config.touch);
   return nullptr;
 }
@@ -71,12 +56,9 @@ bool ParsePbsmResolution(const std::string& name, int* resolution) {
 }
 
 std::vector<std::string> AllAlgorithmNames() {
-  return {"nl",           "ps",          "pbsm-500",
-          "pbsm-100",     "s3",          "sssj",
-          "inl",          "rtree",       "rtree-hilbert",
-          "rtree-tgs",    "rtree-guttman", "rtree-rstar",
-          "rplus",        "seeded",      "octree",
-          "nbps",         "touch"};
+  return {"nl",        "ps",        "pbsm-500",      "pbsm-100",
+          "s3",        "inl",       "rtree",         "rtree-hilbert",
+          "rtree-tgs", "rtree-guttman", "rtree-rstar", "touch"};
 }
 
 std::string AlgorithmNamesHelp() {
@@ -85,7 +67,7 @@ std::string AlgorithmNamesHelp() {
     if (!help.empty()) help += ", ";
     help += name;
   }
-  help += ", pbsm-<res>, nbps-<res>";
+  help += ", pbsm-<res>";
   return help;
 }
 

@@ -8,13 +8,8 @@
 #include "core/touch.h"
 #include "join/indexed_nested_loop.h"
 #include "join/insertion_rtree_join.h"
-#include "join/nbps.h"
-#include "join/octree_join.h"
 #include "join/pbsm.h"
-#include "join/rplus_join.h"
 #include "join/s3.h"
-#include "join/seeded_tree.h"
-#include "join/sssj.h"
 
 namespace touch {
 
@@ -23,20 +18,15 @@ namespace touch {
 struct AlgorithmConfig {
   PbsmOptions pbsm;           // resolution overridden by pbsm-<res> names
   S3Options s3;               // fanout 3, 5 levels
-  SssjOptions sssj;           // 64 strips
-  SeededTreeOptions seeded;   // fanout 2, 4 seed levels
-  OctreeJoinOptions octree;   // leaf capacity 64, depth cap 10
-  NbpsOptions nbps;           // resolution 100
-  RPlusJoinOptions rplus;     // leaf capacity 64
   InsertionRTreeJoinOptions insertion_rtree;  // Guttman/R*, M=16 m=6
   RTreeJoinOptions rtree;     // fanout 2, 2KB (64-entry) leaves
   TouchOptions touch;         // fanout 2, 1024 partitions, grid 500
 };
 
 /// Builds a join algorithm by name:
-///   "nl" | "ps" | "pbsm" | "pbsm-<res>" | "s3" | "sssj" | "rtree" |
+///   "nl" | "ps" | "pbsm" | "pbsm-<res>" | "s3" | "inl" | "rtree" |
 ///   "rtree-hilbert" | "rtree-tgs" | "rtree-guttman" | "rtree-rstar" |
-///   "rplus" | "inl" | "seeded" | "octree" | "nbps" | "nbps-<res>" | "touch"
+///   "touch"
 /// ("pbsm-500" and "pbsm-100" are the paper's two configurations). Returns
 /// nullptr for unknown names.
 std::unique_ptr<SpatialJoinAlgorithm> MakeAlgorithm(

@@ -48,12 +48,12 @@ class RemapCollector : public ResultCollector {
   const DatasetSnapshot& b_;
 };
 
-/// Measures time-to-first-Emit generically — for every algorithm, not just
-/// the streaming NBPS that historically self-reported it. Wrapped around
-/// the request's collector in ExecuteRequest; single-threaded like every
-/// engine sink (Emit calls are never concurrent per request). Reads the
-/// execution's own clock, the one total_seconds is taken from, so the first
-/// result can never read later than the whole execution.
+/// Measures time-to-first-Emit for every algorithm; the only writer of
+/// `JoinStats::first_result_seconds`. Wrapped around the request's collector
+/// in ExecuteRequest; single-threaded like every engine sink (Emit calls are
+/// never concurrent per request). Reads the execution's own clock, the one
+/// total_seconds is taken from, so the first result can never read later
+/// than the whole execution.
 class FirstEmitCollector : public ResultCollector {
  public:
   FirstEmitCollector(ResultCollector& out, const TraceContext& trace,
@@ -1351,9 +1351,7 @@ JoinResult QueryEngine::ExecuteRequest(const JoinRequest& request,
                             pinned, exec_clock)
             : ExecuteUncached(std::move(plan), request, collector, pinned,
                               exec_clock);
-    // NBPS measures its own (stream-internal) first-result latency; keep
-    // the tighter self-report when present, fill in generically otherwise.
-    if (result.stats.first_result_seconds == 0.0 && first_emit.seen()) {
+    if (first_emit.seen()) {
       result.stats.first_result_seconds = first_emit.elapsed_seconds();
     }
     if (result.ok() && result.stats.first_result_seconds > 0.0) {

@@ -30,9 +30,8 @@ enum class RTreeVariant {
 ///
 /// The static `RTree` is what the paper's baselines use; this dynamic tree
 /// exists because the paper's related work (R-tree, R*-tree) is defined by
-/// insertion-time behaviour, because the seeded-tree experiments need a
-/// tree that can grow, and because downstream users of the library may not
-/// know their dataset a priori. A tree over a known starting set can be
+/// insertion-time behaviour, and because downstream users of the library may
+/// not know their dataset a priori. A tree over a known starting set can be
 /// STR-packed once (BulkLoad) and then maintained by the same insert and
 /// delete policy. Not thread-safe.
 class DynamicRTree {

@@ -5,6 +5,7 @@
 #include <span>
 
 #include "geom/box.h"
+#include "index/rtree.h"
 #include "join/local_join.h"
 #include "util/stats.h"
 
@@ -14,19 +15,14 @@ namespace touch {
 /// SIGMOD'93): starting from a node pair, descend only into child pairs with
 /// intersecting MBRs; intersecting leaf pairs are joined with the chosen
 /// local join. The deeper side descends first so both sides reach their
-/// leaves together.
-///
-/// Works over any tree exposing the flat-arena interface of `RTree`
-/// (nodes(), child_ids(), item_ids(), and Node{mbr, begin, count, level,
-/// IsLeaf()}), which lets the R-tree baseline and the seeded-tree join share
-/// the traversal. Callers test the roots' MBR intersection themselves.
-template <typename TreeA, typename TreeB, typename EmitPair>
+/// leaves together. Callers test the roots' MBR intersection themselves.
+template <typename EmitPair>
 void SyncTraverse(std::span<const Box> a, std::span<const Box> b,
-                  const TreeA& tree_a, const TreeB& tree_b, uint32_t node_a,
+                  const RTree& tree_a, const RTree& tree_b, uint32_t node_a,
                   uint32_t node_b, LocalJoinStrategy local_join,
                   JoinStats* stats, EmitPair&& emit) {
-  const auto& na = tree_a.nodes()[node_a];
-  const auto& nb = tree_b.nodes()[node_b];
+  const RTree::Node& na = tree_a.nodes()[node_a];
+  const RTree::Node& nb = tree_b.nodes()[node_b];
 
   if (na.IsLeaf() && nb.IsLeaf()) {
     const auto ids_a = tree_a.item_ids().subspan(na.begin, na.count);

@@ -19,14 +19,6 @@ size_t VectorBytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
 }
 
-/// Bytes held by a vector of vectors, including inner allocations.
-template <typename T>
-size_t NestedVectorBytes(const std::vector<std::vector<T>>& v) {
-  size_t total = v.capacity() * sizeof(std::vector<T>);
-  for (const auto& inner : v) total += inner.capacity() * sizeof(T);
-  return total;
-}
-
 }  // namespace touch
 
 #endif  // TOUCH_UTIL_MEMORY_H_

@@ -33,9 +33,8 @@ struct JoinStats {
   double join_seconds = 0;
   double total_seconds = 0;
   /// Wall-clock seconds until the first result pair was emitted; 0 when the
-  /// join produced no results. Only meaningful for streaming joins (NBPS),
-  /// which report results continuously instead of after a blocking
-  /// partitioning pass.
+  /// join produced no results. Set by the engine; library `Join` calls
+  /// leave it 0.
   double first_result_seconds = 0;
 
   /// Result selectivity |R| / (|A|*|B|) given the input cardinalities.

@@ -168,9 +168,9 @@ std::vector<AdversarialCase> AllCases() {
       {"single_object_each", SingleObjectEach},
   };
   const std::vector<std::string> algorithms = {
-      "ps",     "pbsm-20",       "s3",        "sssj",   "inl",
-      "rtree",  "rtree-hilbert", "rtree-tgs", "rtree-guttman",
-      "rtree-rstar", "rplus", "seeded", "octree", "nbps-8", "touch"};
+      "ps",        "pbsm-20",       "s3",          "inl",
+      "rtree",     "rtree-hilbert", "rtree-tgs",   "rtree-guttman",
+      "rtree-rstar", "touch"};
   std::vector<AdversarialCase> cases;
   for (const auto& algorithm : algorithms) {
     for (const auto& [name, fn] : scenarios) {

@@ -70,10 +70,9 @@ std::vector<PropertyCase> AllCases() {
   // 5, 2 and ~28 units (resolution 500 over this space would replicate each
   // enlarged box into ~10^5 cells and thrash memory for no extra coverage).
   const std::vector<std::string> algorithms = {
-      "ps",     "pbsm-40", "pbsm-100", "pbsm-7",        "s3",
-      "sssj",   "inl",     "rtree",    "rtree-hilbert", "rtree-tgs", "rtree-guttman",
-      "rtree-rstar", "rplus", "seeded",
-      "octree", "nbps-25", "touch"};
+      "ps",        "pbsm-40",       "pbsm-100",    "pbsm-7",
+      "s3",        "inl",           "rtree",       "rtree-hilbert",
+      "rtree-tgs", "rtree-guttman", "rtree-rstar", "touch"};
   const Distribution distributions[] = {
       Distribution::kUniform, Distribution::kGaussian,
       Distribution::kClustered};

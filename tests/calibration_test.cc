@@ -18,7 +18,6 @@ namespace {
 
 TEST(AlgorithmFamilyTest, StripsParameterSuffix) {
   EXPECT_EQ(AlgorithmFamily("pbsm-250"), "pbsm");
-  EXPECT_EQ(AlgorithmFamily("nbps-64"), "nbps");
   EXPECT_EQ(AlgorithmFamily("touch"), "touch");
   EXPECT_EQ(AlgorithmFamily("ps"), "ps");
 }

@@ -267,8 +267,8 @@ TEST_F(EngineTraceTest, PhaseObserverStillFiresAlongsideTheTracer) {
 }
 
 TEST_F(EngineTraceTest, FirstResultSecondsIsMeasuredForEveryAlgorithm) {
-  // The engine's sink wrapper measures time-to-first-result generically —
-  // not just for NBPS, which reports its own streaming-phase value.
+  // The engine's sink wrapper measures time-to-first-result for every
+  // algorithm; no algorithm reports it itself.
   QueryEngine engine(TracedOptions());
   const DatasetHandle a = engine.RegisterDataset("small", small_);
   const DatasetHandle b = engine.RegisterDataset("large", large_);

@@ -41,7 +41,7 @@ TEST(FactoryTest, UnknownNamesReturnNull) {
   EXPECT_EQ(MakeAlgorithm("TOUCH"), nullptr);
   EXPECT_EQ(MakeAlgorithm("pbsm-0"), nullptr);
   EXPECT_EQ(MakeAlgorithm("pbsm--5"), nullptr);
-  EXPECT_EQ(MakeAlgorithm("nbps-abc"), nullptr);
+  EXPECT_EQ(MakeAlgorithm("pbsm-abc"), nullptr);
 }
 
 TEST(FactoryTest, UnknownAlgorithmMessageNamesCulpritAndAcceptedList) {

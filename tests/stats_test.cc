@@ -64,15 +64,6 @@ TEST(MemoryHelpersTest, VectorBytesUsesCapacity) {
   EXPECT_EQ(VectorBytes(v), 100 * sizeof(uint64_t));
 }
 
-TEST(MemoryHelpersTest, NestedVectorBytesIncludesInner) {
-  std::vector<std::vector<uint32_t>> v(3);
-  v[0].reserve(10);
-  v[2].reserve(5);
-  const size_t expected =
-      3 * sizeof(std::vector<uint32_t>) + 15 * sizeof(uint32_t);
-  EXPECT_EQ(NestedVectorBytes(v), expected);
-}
-
 TEST(FactoryTest, BuildsEveryAdvertisedAlgorithm) {
   for (const std::string& name : AllAlgorithmNames()) {
     const auto algorithm = MakeAlgorithm(name);

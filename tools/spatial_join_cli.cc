@@ -125,11 +125,11 @@ void PrintUsage() {
       "spatial_join_cli - run in-memory spatial joins (TOUCH, SIGMOD'13)\n"
       "\n"
       "Join mode (default):\n"
-      "  --algo=NAME[,NAME...]  algorithms: nl ps pbsm-<res> s3 sssj inl\n"
-      "                         rtree rtree-hilbert rtree-tgs rtree-guttman\n"
-      "                         rtree-rstar rplus seeded octree nbps-<res>\n"
-      "                         touch, 'all', or 'auto' (cost-based planner;\n"
-      "                         prints the chosen plan) (default: touch)\n"
+      "  --algo=NAME[,NAME...]  algorithms: nl ps pbsm-<res> s3 inl rtree\n"
+      "                         rtree-hilbert rtree-tgs rtree-guttman\n"
+      "                         rtree-rstar touch, 'all', or 'auto'\n"
+      "                         (cost-based planner; prints the chosen plan)\n"
+      "                         (default: touch)\n"
       "  --a=FILE --b=FILE      load datasets (.bin from --generate, or .csv)\n"
       "  --dist=NAME            uniform|gaussian|clustered (default uniform)\n"
       "  --neuro=N              neuroscience workload grown from N neurons\n"
