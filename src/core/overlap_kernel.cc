@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "geom/box.h"
-#include "index/rtree.h"
 #include "join/algorithm.h"
 #include "util/cancellation.h"
 #include "util/simd.h"
@@ -173,27 +172,15 @@ size_t CollectOverlapsGather(const BoxSlab& slab,
   return ActiveKernels().gather(slab, positions, query, hits);
 }
 
-uint64_t BatchedTreeProbe(const RTree& tree, const RTreeProbeSlabs& slabs,
+uint64_t BatchedTreeProbe(const RTree& tree, const BoxSlab& items,
                           std::span<const Box> queries, float probe_epsilon,
                           bool swap_emit, JoinStats* stats,
                           ResultCollector& out, CancellationToken cancel) {
-  return ActiveKernels().tree_probe(tree, slabs, queries, probe_epsilon,
+  return ActiveKernels().tree_probe(tree, items, queries, probe_epsilon,
                                     swap_emit, stats, out, cancel);
 }
 
 // --- ISA-independent pieces ---------------------------------------------------
-
-void RTreeProbeSlabs::Build(const RTree& tree, std::span<const Box> boxes,
-                            float epsilon) {
-  const std::span<const uint32_t> item_ids = tree.item_ids();
-  items.AssignGenerated(
-      item_ids.size(), [&](size_t i) { return boxes[item_ids[i]]; }, epsilon);
-  const std::span<const uint32_t> child_ids = tree.child_ids();
-  const std::span<const RTree::Node> nodes = tree.nodes();
-  child_mbrs.AssignGenerated(
-      child_ids.size(), [&](size_t i) { return nodes[child_ids[i]].mbr; },
-      epsilon);
-}
 
 OverlapScratch& ThreadLocalOverlapScratch() {
   thread_local OverlapScratch scratch;

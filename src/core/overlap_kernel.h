@@ -10,13 +10,14 @@
 #include <vector>
 
 #include "geom/box.h"
-#include "index/rtree.h"
 #include "join/algorithm.h"
 #include "util/cancellation.h"
 #include "util/simd.h"
 #include "util/stats.h"
 
 namespace touch {
+
+class RTree;
 
 /// Batched epsilon-overlap kernels: the one instruction every join in this
 /// repo bottlenecks on — `Intersects(enlarged_box, candidate)` — restructured
@@ -80,7 +81,7 @@ class BoxSlab {
   }
 
   /// slab[i] = fn(i) for i in [0, count): the generic builder behind the
-  /// tree-MBR slabs (slab[i] = nodes[child_ids[i]].mbr and friends).
+  /// other Assign forms.
   template <typename BoxFn>
   void AssignGenerated(size_t count, BoxFn&& fn, float epsilon = 0.0f) {
     Resize(count);
@@ -248,33 +249,16 @@ size_t CollectOverlapsGatherScalar(const BoxSlab& slab,
                                    const Box& query,
                                    std::vector<uint32_t>& hits);
 
-/// Slabs mirroring a bulk-loaded RTree's arena layout: `items[i]` is the
-/// box of tree.item_ids()[i] (so every leaf's objects are one contiguous
-/// slab range) and `child_mbrs[i]` is the MBR of tree.child_ids()[i] (one
-/// contiguous range per inner node). Build once per tree, probe many times.
-struct RTreeProbeSlabs {
-  BoxSlab items;
-  BoxSlab child_mbrs;
-
-  /// `boxes` must be the span the tree indexes. `epsilon` enlarges the
-  /// stored item/MBR coordinates (build-side enlargement of a distance
-  /// join); probe-side enlargement is BatchedTreeProbe's probe_epsilon.
-  void Build(const RTree& tree, std::span<const Box> boxes,
-             float epsilon = 0.0f);
-
-  size_t MemoryUsageBytes() const {
-    return items.MemoryUsageBytes() + child_mbrs.MemoryUsageBytes();
-  }
-};
-
 /// The INL probe kernel: probes every query box (enlarged on the fly by
-/// probe_epsilon when > 0) through the tree using the slabs, emitting
+/// probe_epsilon when > 0) through the tree, testing each inner node's child
+/// range of tree.node_mbrs() and each leaf's range of `items`, where
+/// items[i] is the box of tree.item_ids()[i] (AssignGather), emitting
 /// (item_id, query_id) — or (query_id, item_id) when swap_emit — into `out`
 /// in the exact DFS order of RTree::Query. Counts object tests in
 /// stats->comparisons, node tests in stats->node_comparisons, and emitted
 /// pairs in stats->results. Polls `cancel` at an amortized power-of-two
 /// stride of queries. Returns the number of queries fully probed.
-uint64_t BatchedTreeProbe(const RTree& tree, const RTreeProbeSlabs& slabs,
+uint64_t BatchedTreeProbe(const RTree& tree, const BoxSlab& items,
                           std::span<const Box> queries, float probe_epsilon,
                           bool swap_emit, JoinStats* stats,
                           ResultCollector& out,
@@ -313,7 +297,7 @@ struct OverlapKernelTable {
                   uint64_t*);
   size_t (*gather)(const BoxSlab&, std::span<const uint32_t>, const Box&,
                    std::vector<uint32_t>&);
-  uint64_t (*tree_probe)(const RTree&, const RTreeProbeSlabs&,
+  uint64_t (*tree_probe)(const RTree&, const BoxSlab&,
                          std::span<const Box>, float, bool, JoinStats*,
                          ResultCollector&, CancellationToken);
 };

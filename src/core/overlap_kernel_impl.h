@@ -276,12 +276,12 @@ size_t GatherImpl(const BoxSlab& slab, std::span<const uint32_t> positions,
 // One body for every level: the DFS and emit logic are ISA-independent, only
 // the CollectImpl it drives is per-TU. Compiled per ISA so the hot probe
 // loop inlines its own level's kernel with that level's flags.
-uint64_t ProbeImpl(const RTree& tree, const RTreeProbeSlabs& slabs,
+uint64_t ProbeImpl(const RTree& tree, const BoxSlab& items,
                    std::span<const Box> queries, float probe_epsilon,
                    bool swap_emit, JoinStats* stats, ResultCollector& out,
                    CancellationToken cancel) {
   const std::span<const RTree::Node> nodes = tree.nodes();
-  const std::span<const uint32_t> child_ids = tree.child_ids();
+  const BoxSlab& node_mbrs = tree.node_mbrs();
   const std::span<const uint32_t> item_ids = tree.item_ids();
   std::vector<uint32_t> stack;
   std::vector<uint32_t> hits;
@@ -302,8 +302,7 @@ uint64_t ProbeImpl(const RTree& tree, const RTreeProbeSlabs& slabs,
         const size_t end = begin + node.count;
         hits.clear();
         if (node.IsLeaf()) {
-          stats->comparisons +=
-              CollectImpl(slabs.items, begin, end, query, hits);
+          stats->comparisons += CollectImpl(items, begin, end, query, hits);
           for (const uint32_t pos : hits) {
             const uint32_t item = item_ids[pos];
             if (swap_emit) {
@@ -314,13 +313,12 @@ uint64_t ProbeImpl(const RTree& tree, const RTreeProbeSlabs& slabs,
             ++stats->results;
           }
         } else {
+          // A hit row of the node MBR slab is the child's node id.
           stats->node_comparisons +=
-              CollectImpl(slabs.child_mbrs, begin, end, query, hits);
+              CollectImpl(node_mbrs, begin, end, query, hits);
           // Push matching children reversed so they pop in ascending order —
           // the DFS emit order of RTree::Query's recursion.
-          for (size_t i = hits.size(); i-- > 0;) {
-            stack.push_back(child_ids[hits[i]]);
-          }
+          for (size_t i = hits.size(); i-- > 0;) stack.push_back(hits[i]);
         }
       }
     }

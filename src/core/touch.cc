@@ -145,12 +145,11 @@ void FillSlab(WorkerPool* pool, HelperSet* helpers, BoxSlab& slab,
 
 }  // namespace
 
-TouchAssignment AssignToTree(const RTree& tree, const BoxSlab& child_mbrs,
-                             std::span<const Box> probe, float probe_epsilon,
+TouchAssignment AssignToTree(const RTree& tree, std::span<const Box> probe,
+                             float probe_epsilon,
                              const CancellationToken& cancel,
                              WorkerPool* pool, HelperSet* helpers) {
   const std::span<const RTree::Node> nodes = tree.nodes();
-  const std::span<const uint32_t> child_ids = tree.child_ids();
   TouchAssignment out;
   out.entity_offsets.assign(nodes.size() + 1, 0);
   if (nodes.empty()) {
@@ -165,6 +164,7 @@ TouchAssignment AssignToTree(const RTree& tree, const BoxSlab& child_mbrs,
   };
   std::vector<SlotCounters> counters(ForkJoinSlots(pool));
   std::vector<uint32_t> node_of(probe.size(), kNoNode);
+  const Box root_mbr = tree.NodeMbr(tree.root());
   const size_t chunks = (probe.size() + kAssignChunk - 1) / kAssignChunk;
   ForkJoin(
       pool, chunks,
@@ -181,7 +181,7 @@ TouchAssignment AssignToTree(const RTree& tree, const BoxSlab& child_mbrs,
                               : probe[probe_id];
           uint32_t current = tree.root();
           ++count.node_comparisons;
-          if (!Intersects(box, nodes[current].mbr)) {
+          if (!Intersects(box, root_mbr)) {
             ++count.filtered;
             continue;
           }
@@ -193,7 +193,7 @@ TouchAssignment AssignToTree(const RTree& tree, const BoxSlab& child_mbrs,
             const RTree::Node& node = nodes[current];
             size_t first = 0;
             const int hits =
-                ClassifyOverlaps(child_mbrs, node.begin,
+                ClassifyOverlaps(tree.node_mbrs(), node.begin,
                                  node.begin + node.count, box, &first,
                                  &count.node_comparisons);
             // Overlaps several children: assigned to their parent (this
@@ -206,7 +206,7 @@ TouchAssignment AssignToTree(const RTree& tree, const BoxSlab& child_mbrs,
               current = kNoNode;
               break;
             }
-            current = child_ids[first];
+            current = static_cast<uint32_t>(first);
           }
           // A leaf, the node above two overlapping children, or kNoNode.
           node_of[probe_id] = current;
@@ -332,18 +332,8 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   // is open on this thread, no-op otherwise (library callers untouched).
   SpanScope assign_span("touch-assign");
   HelperSet assign_helpers;
-  const std::span<const RTree::Node> nodes = tree.nodes();
-  const std::span<const uint32_t> child_ids = tree.child_ids();
-  // SoA slab over every node's child MBRs, in child_ids order, so each
-  // descent step classifies a node's whole child range with the batched
-  // overlap kernel (one node.begin/count range per node). Built
-  // once per join, shared read-only with the local-join phase below.
-  BoxSlab child_mbr_slab;
-  FillSlab(pool, &assign_helpers, child_mbr_slab, child_ids.size(),
-           [&](size_t i) { return nodes[child_ids[i]].mbr; });
-  const TouchAssignment assignment =
-      AssignToTree(tree, child_mbr_slab, probe, probe_epsilon, cancel, pool,
-                   &assign_helpers);
+  const TouchAssignment assignment = AssignToTree(
+      tree, probe, probe_epsilon, cancel, pool, &assign_helpers);
   stats.node_comparisons += assignment.node_comparisons;
   stats.filtered += assignment.filtered;
   stats.assign_seconds = phase.Seconds();
@@ -356,6 +346,7 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   // phase without an ambient context, so the one span covers the phase's
   // wall clock and its `helpers` attr counts the workers that joined in.
   SpanScope local_join_span("touch-local-join");
+  const std::span<const RTree::Node> nodes = tree.nodes();
   const std::span<const uint32_t> item_ids = tree.item_ids();
 
   // Minimum grid cell edge: a multiple of the average *raw* object extent
@@ -421,7 +412,7 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
       } else {
         w.how = item_count >= kSplitItems ? NodeJoin::kSplitGrid
                                           : NodeJoin::kGrid;
-        NodeGridResolution(nodes[node_id].mbr, min_cell_edge,
+        NodeGridResolution(tree.NodeMbr(node_id), min_cell_edge,
                            options_.grid_resolution,
                            /*max_total_cells=*/uint64_t{1} << 18, w.res);
         ++grid_nodes;
@@ -454,21 +445,22 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
         for (const uint32_t pos : ctx.hits) emit(item_ids[pos], probe_id);
         continue;
       }
-      // Matching children push in ascending order, as the scalar loop
-      // did — this stack visits them last-pushed-first either way.
+      // A hit row is the child's node id. Matching children push in
+      // ascending order, as the scalar loop did — this stack visits them
+      // last-pushed-first either way.
       ctx.stats.node_comparisons +=
-          CollectOverlaps(child_mbr_slab, current.begin,
+          CollectOverlaps(tree.node_mbrs(), current.begin,
                           current.begin + current.count, probe_box, ctx.hits);
-      for (const uint32_t pos : ctx.hits) {
-        ctx.descent_stack.push_back(child_ids[pos]);
-      }
+      ctx.descent_stack.insert(ctx.descent_stack.end(), ctx.hits.begin(),
+                               ctx.hits.end());
     }
   };
 
   // Equi-width grid over a node's region: the node's B entities are
   // scattered into the cells they overlap by a counting sort ...
   const auto scatter = [&](const NodeWork& w, WorkerContext& ctx) {
-    const GridMapper grid(nodes[w.node].mbr, w.res[0], w.res[1], w.res[2]);
+    const GridMapper grid(tree.NodeMbr(w.node), w.res[0], w.res[1],
+                          w.res[2]);
     const uint64_t stride_y = static_cast<uint64_t>(w.res[2]);
     const uint64_t stride_x = stride_y * static_cast<uint64_t>(w.res[1]);
     const uint64_t cell_count = grid.TotalCells();
@@ -518,7 +510,8 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
                               size_t item_lo, size_t item_hi,
                               WorkerContext& ctx, auto&& emit) {
     const auto items = item_ids.subspan(w.items.begin, w.items.size());
-    const GridMapper grid(nodes[w.node].mbr, w.res[0], w.res[1], w.res[2]);
+    const GridMapper grid(tree.NodeMbr(w.node), w.res[0], w.res[1],
+                          w.res[2]);
     const uint64_t stride_y = static_cast<uint64_t>(w.res[2]);
     const uint64_t stride_x = stride_y * static_cast<uint64_t>(w.res[1]);
     for (size_t item_index = item_lo; item_index < item_hi; ++item_index) {

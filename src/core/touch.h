@@ -88,13 +88,13 @@ struct TouchAssignment {
 
 /// Assigns every box of `probe`, enlarged by `probe_epsilon`, to the lowest
 /// node of `tree` whose MBR it overlaps without overlapping a sibling, or
-/// filters it (outside the root, or in a node's dead space). `child_mbrs`
-/// holds every node's child MBRs in child_ids order. The probe ids are
-/// classified in fork-join chunks on `pool`'s idle workers (recorded in
-/// `helpers`); the result and its counters do not depend on how many ran.
-/// Once `cancel` fires, the objects not yet classified are left out.
-TouchAssignment AssignToTree(const RTree& tree, const BoxSlab& child_mbrs,
-                             std::span<const Box> probe, float probe_epsilon,
+/// filters it (outside the root, or in a node's dead space), classifying
+/// each node's child rows of tree.node_mbrs() in one batched call. Probe ids
+/// run in fork-join chunks on `pool`'s idle workers (recorded in `helpers`);
+/// the result and its counters do not depend on how many ran. Once `cancel`
+/// fires, the objects not yet classified are left out.
+TouchAssignment AssignToTree(const RTree& tree, std::span<const Box> probe,
+                             float probe_epsilon,
                              const CancellationToken& cancel,
                              WorkerPool* pool, HelperSet* helpers = nullptr);
 

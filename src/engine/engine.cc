@@ -96,7 +96,9 @@ Dataset EnlargedCopy(std::span<const Box> boxes, float epsilon) {
 /// the artifact's key bakes in a nonzero epsilon, `owned_boxes` holds the
 /// enlarged copy; otherwise it stays empty and the structure indexes the
 /// catalog's boxes, which Boxes() then borrows — the key's dataset version
-/// guarantees the caller's pinned snapshot holds exactly those boxes.
+/// guarantees the caller's pinned snapshot holds exactly those boxes. A
+/// family whose probe never reads the boxes (INL) keeps no copy, and must
+/// not call Boxes().
 template <typename Structure>
 struct Cached : CachedArtifact {
   Dataset owned_boxes;
@@ -120,16 +122,16 @@ const Cached<Structure>& As(const IndexCache::ArtifactPtr& artifact) {
   return static_cast<const Cached<Structure>&>(*artifact);
 }
 
-/// A bulk-loaded STR R-tree for the indexed nested loop, with SoA probe
-/// slabs over its items and child MBRs (core/overlap_kernel.h). Unlike the
-/// library join's transient slabs these are part of the artifact's
-/// accounted footprint: the cache really holds them between requests.
+/// A bulk-loaded STR R-tree for the indexed nested loop, with an SoA slab of
+/// its items in item_ids order (the tree holds its node MBRs itself). Unlike
+/// the library join's transient slab this one is part of the artifact's
+/// accounted footprint: the cache really holds it between requests.
 struct InlIndex {
   RTree tree;
-  RTreeProbeSlabs slabs;
+  BoxSlab items;
 
   size_t MemoryUsageBytes() const {
-    return tree.MemoryUsageBytes() + slabs.MemoryUsageBytes();
+    return tree.MemoryUsageBytes() + items.MemoryUsageBytes();
   }
 };
 
@@ -167,10 +169,11 @@ struct ArtifactNeed {
 
 /// The one build routine of every family: enlarge into an owned copy when
 /// the key bakes in an epsilon, else build over the borrowed catalog span,
-/// and time the whole build.
+/// and time the whole build. Unless the family's probe reads the boxes
+/// again, the owned copy is released once the structure is built.
 template <typename Structure, typename Make>
-IndexCache::ArtifactPtr BuildCached(const ArtifactNeed& need,
-                                    const Make& make) {
+IndexCache::ArtifactPtr BuildCached(const ArtifactNeed& need, const Make& make,
+                                    bool probe_reads_boxes = true) {
   Timer timer;
   Dataset owned = need.key.epsilon > 0
                       ? EnlargedCopy(need.source, need.key.epsilon)
@@ -178,6 +181,7 @@ IndexCache::ArtifactPtr BuildCached(const ArtifactNeed& need,
   const std::span<const Box> input =
       owned.empty() ? need.source : std::span<const Box>(owned);
   Structure structure = make(input);
+  if (!probe_reads_boxes) owned = Dataset{};
   return std::make_shared<Cached<Structure>>(
       std::move(owned), std::move(structure), timer.Seconds());
 }
@@ -245,13 +249,16 @@ std::vector<ArtifactNeed> InlNeeds(const FamilyInput& in) {
 
 IndexCache::ArtifactPtr BuildInlIndex(const FamilyInput&,
                                       const ArtifactNeed& need) {
-  return BuildCached<InlIndex>(need, [&](std::span<const Box> boxes) {
-    InlIndex index{RTree(boxes, need.key.shape_a, need.key.shape_b,
-                         RTreeJoinOptions{}.bulkload),
-                   {}};
-    index.slabs.Build(index.tree, boxes);
-    return index;
-  });
+  return BuildCached<InlIndex>(
+      need,
+      [&](std::span<const Box> boxes) {
+        InlIndex index{RTree(boxes, need.key.shape_a, need.key.shape_b,
+                             RTreeJoinOptions{}.bulkload),
+                       {}};
+        index.items.AssignGather(boxes, index.tree.item_ids());
+        return index;
+      },
+      /*probe_reads_boxes=*/false);
 }
 
 JoinStats ProbeInlIndex(const FamilyInput& in,
@@ -266,11 +273,11 @@ JoinStats ProbeInlIndex(const FamilyInput& in,
   // RTree::Query's DFS order.
   SpanScope probe_span("inl-probe");
   if (in.plan.build_on_a) {
-    BatchedTreeProbe(index.tree, index.slabs, in.b.boxes,
+    BatchedTreeProbe(index.tree, index.items, in.b.boxes,
                      /*probe_epsilon=*/0.0f, /*swap_emit=*/false, &stats, out,
                      cancel);
   } else {
-    BatchedTreeProbe(index.tree, index.slabs, in.a.boxes, in.request.epsilon,
+    BatchedTreeProbe(index.tree, index.items, in.a.boxes, in.request.epsilon,
                      /*swap_emit=*/true, &stats, out, cancel);
   }
   probe_span.End();

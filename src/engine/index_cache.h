@@ -22,12 +22,12 @@ class MetricsRegistry;
 /// share entries even when every other key field agrees: the TOUCH tree and
 /// the INL index over the same dataset are both STR-packed RTrees, but of
 /// different shapes (TOUCH's leaf capacity follows its partition count), and
-/// the INL index carries its probe slabs too.
+/// the INL index carries an item slab too.
 enum class ArtifactKind : uint8_t {
   /// An RTree serving as TOUCH's data-oriented partitioning hierarchy.
   kTouchTree = 0,
-  /// A bulk-loaded STR RTree plus probe slabs for the indexed-nested-loop
-  /// join.
+  /// A bulk-loaded STR RTree plus a slab of its items in item_ids order,
+  /// for the indexed-nested-loop join.
   kInlRTree = 1,
   /// A PBSM cell directory: one dataset's sorted cell-placement list.
   kPbsmDirectory = 2,

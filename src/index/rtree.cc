@@ -32,79 +32,84 @@ RTree::RTree(std::span<const Box> boxes, size_t leaf_capacity, size_t fanout,
   fanout = std::max<size_t>(2, fanout);
   if (boxes.empty()) return;
 
-  // Level 0: pack objects into leaves. A leaf's begin indexes leaves.order
-  // until the DFS pass below moves its items into item_ids_.
-  const StrPartitioning leaves =
-      Pack(boxes, leaf_capacity, method, pool, helpers);
-  std::vector<uint32_t> current_level;  // node ids of the level being built
-  current_level.reserve(leaves.NumBuckets());
+  // Level 0: pack objects into leaves; a leaf's begin indexes the packing
+  // order, which becomes the draft's items.
+  StrPartitioning leaves = Pack(boxes, leaf_capacity, method, pool, helpers);
+  Draft draft;
+  std::vector<uint32_t> current_level;  // draft ids of the level being built
   for (size_t b = 0; b < leaves.NumBuckets(); ++b) {
-    Node node;
-    node.mbr = BucketMbr(boxes, leaves.Bucket(b));
-    node.begin = leaves.bucket_begin[b];
-    node.count = leaves.bucket_begin[b + 1] - leaves.bucket_begin[b];
-    node.level = 0;
-    current_level.push_back(static_cast<uint32_t>(nodes_.size()));
-    nodes_.push_back(node);
+    const std::span<const uint32_t> bucket = leaves.Bucket(b);
+    current_level.push_back(static_cast<uint32_t>(draft.nodes.size()));
+    draft.nodes.push_back(
+        {leaves.bucket_begin[b], static_cast<uint32_t>(bucket.size()), 0});
+    draft.mbrs.push_back(BucketMbr(boxes, bucket));
   }
-  height_ = 1;
+  draft.items = std::move(leaves.order);
 
   // Upper levels: pack the node MBRs of the previous level into parents of
   // `fanout` children until a single root remains.
-  while (current_level.size() > 1) {
+  for (uint8_t level = 1; current_level.size() > 1; ++level) {
     std::vector<Box> level_mbrs;
     level_mbrs.reserve(current_level.size());
-    for (uint32_t id : current_level) level_mbrs.push_back(nodes_[id].mbr);
-
+    for (uint32_t id : current_level) level_mbrs.push_back(draft.mbrs[id]);
     const StrPartitioning packed =
         Pack(level_mbrs, fanout, method, pool, helpers);
     std::vector<uint32_t> next_level;
-    next_level.reserve(packed.NumBuckets());
     for (size_t b = 0; b < packed.NumBuckets(); ++b) {
-      Node node;
-      node.mbr = Box::Empty();
-      node.begin = static_cast<uint32_t>(child_ids_.size());
-      node.count = static_cast<uint32_t>(packed.Bucket(b).size());
-      node.level = static_cast<uint8_t>(height_);
-      for (uint32_t local : packed.Bucket(b)) {
-        const uint32_t child = current_level[local];
-        child_ids_.push_back(child);
-        node.mbr.ExpandToContain(nodes_[child].mbr);
+      const std::span<const uint32_t> bucket = packed.Bucket(b);
+      Box mbr = Box::Empty();
+      for (uint32_t local : bucket) mbr.ExpandToContain(level_mbrs[local]);
+      next_level.push_back(static_cast<uint32_t>(draft.nodes.size()));
+      draft.nodes.push_back({static_cast<uint32_t>(draft.children.size()),
+                             static_cast<uint32_t>(bucket.size()), level});
+      draft.mbrs.push_back(mbr);
+      for (uint32_t local : bucket) {
+        draft.children.push_back(current_level[local]);
       }
-      next_level.push_back(static_cast<uint32_t>(nodes_.size()));
-      nodes_.push_back(node);
     }
     current_level = std::move(next_level);
-    ++height_;
   }
-  root_ = current_level.front();
+  draft.root = current_level.front();
+  Layout(draft);
+}
 
-  // Emit the leaves' items in DFS order (children in child_ids order, items
-  // within a leaf in packing order), so every node's descendant items are
-  // one contiguous range of item_ids_.
-  item_ids_.reserve(leaves.order.size());
-  std::vector<uint32_t> stack = {root_};
-  while (!stack.empty()) {
-    Node& node = nodes_[stack.back()];
-    stack.pop_back();
-    if (node.IsLeaf()) {
-      const auto first = leaves.order.begin() + node.begin;
-      node.begin = static_cast<uint32_t>(item_ids_.size());
-      item_ids_.insert(item_ids_.end(), first, first + node.count);
-      continue;
-    }
+void RTree::Layout(const Draft& draft) {
+  // Breadth-first from the root, children enqueued last to first. Every
+  // leaf of an R-tree is at level 0, so this visits the levels top-down,
+  // each in reverse parent order: the k-th node visited gets id n - 1 - k.
+  const size_t n = draft.nodes.size();
+  nodes_.resize(n);
+  node_mbrs_.Resize(n);
+  std::vector<uint32_t> order = {draft.root};
+  order.reserve(n);
+  for (size_t k = 0; k < n; ++k) {
+    const Node& node = draft.nodes[order[k]];
+    nodes_[n - 1 - k] = node;
+    node_mbrs_.Set(n - 1 - k, draft.mbrs[order[k]]);
+    if (node.IsLeaf()) continue;
+    // The first child is enqueued last, so it gets the lowest id.
+    nodes_[n - 1 - k].begin =
+        static_cast<uint32_t>(n - order.size() - node.count);
     for (uint32_t i = node.begin + node.count; i-- > node.begin;) {
-      stack.push_back(child_ids_[i]);
+      order.push_back(draft.children[i]);
     }
+  }
+  // The leaves are ids 0, 1, ...: their items append in DFS order.
+  item_ids_.reserve(draft.items.size());
+  for (uint32_t id = 0; id < n && nodes_[id].IsLeaf(); ++id) {
+    const Node& leaf = draft.nodes[order[n - 1 - id]];
+    nodes_[id].begin = static_cast<uint32_t>(item_ids_.size());
+    item_ids_.insert(item_ids_.end(), draft.items.begin() + leaf.begin,
+                     draft.items.begin() + leaf.begin + leaf.count);
   }
 }
 
 RTree::ItemSpan RTree::ItemRange(uint32_t node_id) const {
   uint32_t first = node_id;
-  while (!nodes_[first].IsLeaf()) first = child_ids_[nodes_[first].begin];
+  while (!nodes_[first].IsLeaf()) first = nodes_[first].begin;
   uint32_t last = node_id;
   while (!nodes_[last].IsLeaf()) {
-    last = child_ids_[nodes_[last].begin + nodes_[last].count - 1];
+    last = nodes_[last].begin + nodes_[last].count - 1;
   }
   return {nodes_[first].begin, nodes_[last].begin + nodes_[last].count};
 }
@@ -112,50 +117,46 @@ RTree::ItemSpan RTree::ItemRange(uint32_t node_id) const {
 RTree RTree::FromDynamic(const DynamicRTree& tree) {
   RTree flat;
   if (tree.empty()) return flat;
-  flat.height_ = tree.height();
 
   // Preorder DFS through the dynamic tree's visitor; parents pre-reserve a
   // contiguous child range and fill it slot by slot as children are entered.
-  // Items are appended in visit order, which is the class's DFS invariant.
-  std::vector<uint32_t> node_stack;  // flat ids of the current DFS path
+  Draft draft;
+  std::vector<uint32_t> node_stack;  // draft ids of the current DFS path
   std::vector<uint32_t> next_slot;   // next child slot to fill, per level
   tree.VisitNodes(
       [&](const Box& mbr, uint8_t level, bool is_leaf, size_t child_count) {
-        const uint32_t id = static_cast<uint32_t>(flat.nodes_.size());
-        Node node;
-        node.mbr = mbr;
-        node.level = level;
-        if (is_leaf) {
-          node.begin = static_cast<uint32_t>(flat.item_ids_.size());
-          node.count = 0;  // items appended by the item callback
-        } else {
-          node.begin = static_cast<uint32_t>(flat.child_ids_.size());
-          node.count = static_cast<uint32_t>(child_count);
-          flat.child_ids_.resize(flat.child_ids_.size() + child_count);
-        }
-        flat.nodes_.push_back(node);
+        const uint32_t id = static_cast<uint32_t>(draft.nodes.size());
+        // A leaf's count grows as the item callback appends its items.
+        const size_t begin =
+            is_leaf ? draft.items.size() : draft.children.size();
+        const size_t count = is_leaf ? 0 : child_count;
+        draft.nodes.push_back({static_cast<uint32_t>(begin),
+                               static_cast<uint32_t>(count), level});
+        draft.mbrs.push_back(mbr);
+        draft.children.resize(draft.children.size() + count);
         if (!node_stack.empty()) {
-          const Node& parent = flat.nodes_[node_stack.back()];
-          flat.child_ids_[parent.begin + next_slot.back()] = id;
-          ++next_slot.back();
+          draft.children[draft.nodes[node_stack.back()].begin +
+                         next_slot.back()++] = id;
         }
         node_stack.push_back(id);
         next_slot.push_back(0);
       },
       [&](uint32_t item_id, const Box&) {
-        flat.item_ids_.push_back(item_id);
-        ++flat.nodes_[node_stack.back()].count;
+        draft.items.push_back(item_id);
+        ++draft.nodes[node_stack.back()].count;
       },
       [&] {
         node_stack.pop_back();
         next_slot.pop_back();
       });
-  flat.root_ = 0;  // preorder: the root is emitted first
+  draft.root = 0;  // preorder: the root is entered first
+  flat.Layout(draft);
   return flat;
 }
 
 size_t RTree::MemoryUsageBytes() const {
-  return VectorBytes(nodes_) + VectorBytes(child_ids_) + VectorBytes(item_ids_);
+  return VectorBytes(nodes_) + node_mbrs_.MemoryUsageBytes() +
+         VectorBytes(item_ids_);
 }
 
 }  // namespace touch

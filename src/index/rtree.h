@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "core/overlap_kernel.h"
 #include "geom/box.h"
 #include "index/str.h"
 #include "util/stats.h"
@@ -32,10 +33,12 @@ enum class BulkLoadMethod {
 /// STR at every level, which the paper singles out as the best-performing
 /// R-tree construction for non-extreme data.
 ///
-/// Nodes live in one arena vector; children id lists live in a second flat
-/// vector, so the tree is cache-friendly and its memory footprint is exact.
-///
-/// Invariant: item_ids() is in DFS leaf order, so the descendant items of
+/// Layout: nodes are numbered level by level, leaves first and the root
+/// last, each level in its parents' order. An inner node's children are the
+/// ids [begin, begin + count), and each node's MBR is stored once, as row
+/// `id` of one BoxSlab (node_mbrs()), so a node's child MBRs are exactly the
+/// slab range the batched overlap kernels scan. Leaf ids ascend in item
+/// order, so item_ids() is in DFS leaf order and the descendant items of
 /// every node form one contiguous range (ItemRange). Any tree this class
 /// holds, bulk-loaded or flattened from an insertion-built DynamicRTree, can
 /// therefore serve as the TOUCH tree with no conversion step — the paper's
@@ -44,8 +47,8 @@ enum class BulkLoadMethod {
 class RTree {
  public:
   struct Node {
-    Box mbr;
-    /// For inner nodes: range in child_ids(); for leaves: range in item_ids().
+    /// For inner nodes: the child node ids [begin, begin + count); for
+    /// leaves: the range in item_ids().
     uint32_t begin = 0;
     uint32_t count = 0;
     /// 0 for leaves, parent level = child level + 1.
@@ -83,10 +86,13 @@ class RTree {
   size_t size() const { return item_ids_.size(); }
   bool empty() const { return item_ids_.empty(); }
 
-  /// Index of the root node in nodes(); only valid when !empty().
-  uint32_t root() const { return root_; }
+  /// Index of the root node in nodes() (the last one); only valid when
+  /// !empty().
+  uint32_t root() const { return static_cast<uint32_t>(nodes_.size() - 1); }
   std::span<const Node> nodes() const { return nodes_; }
-  std::span<const uint32_t> child_ids() const { return child_ids_; }
+  /// Every node's MBR, row `id` for node `id`.
+  const BoxSlab& node_mbrs() const { return node_mbrs_; }
+  Box NodeMbr(uint32_t node_id) const { return node_mbrs_.BoxAt(node_id); }
   /// Object ids in DFS leaf order (see the class invariant).
   std::span<const uint32_t> item_ids() const { return item_ids_; }
 
@@ -95,7 +101,7 @@ class RTree {
   ItemSpan ItemRange(uint32_t node_id) const;
 
   /// Height: number of levels (1 for a single-leaf tree, 0 when empty).
-  int height() const { return height_; }
+  int height() const { return empty() ? 0 : nodes_.back().level + 1; }
 
   /// Finds all indexed objects whose box intersects `query`, invoking
   /// `emit(object_id)` for each. Object-level intersection tests are counted
@@ -105,7 +111,7 @@ class RTree {
   void Query(std::span<const Box> boxes, const Box& query, Emit&& emit,
              JoinStats* stats) const {
     if (empty()) return;
-    QueryNode(boxes, root_, query, emit, stats);
+    QueryNode(boxes, root(), query, emit, stats);
   }
 
   /// Exact bytes held by the index structures.
@@ -126,20 +132,32 @@ class RTree {
       }
       return;
     }
-    for (uint32_t i = node.begin; i < node.begin + node.count; ++i) {
-      const uint32_t child = child_ids_[i];
+    for (uint32_t child = node.begin; child < node.begin + node.count;
+         ++child) {
       ++stats->node_comparisons;
-      if (Intersects(nodes_[child].mbr, query)) {
+      if (Intersects(NodeMbr(child), query)) {
         QueryNode(boxes, child, query, emit, stats);
       }
     }
   }
 
+  /// A tree as a loader produced it, in any node numbering: an inner node's
+  /// [begin, begin + count) indexes children, a leaf's indexes items.
+  struct Draft {
+    std::vector<Node> nodes;
+    std::vector<Box> mbrs;  // one per draft node
+    std::vector<uint32_t> children;
+    std::vector<uint32_t> items;
+    uint32_t root = 0;
+  };
+
+  /// Numbers a draft's nodes as the class comment says, keeping its child
+  /// and item order, so the shape and every traversal order are the draft's.
+  void Layout(const Draft& draft);
+
   std::vector<Node> nodes_;
-  std::vector<uint32_t> child_ids_;
+  BoxSlab node_mbrs_;
   std::vector<uint32_t> item_ids_;
-  uint32_t root_ = 0;
-  int height_ = 0;
 };
 
 }  // namespace touch

@@ -20,20 +20,20 @@ JoinStats IndexedNestedLoopJoin::Join(std::span<const Box> a,
   Timer phase;
   const RTree tree(a, options_.leaf_capacity, options_.fanout,
                    options_.bulkload);
-  // Restructure the tree's items and child MBRs into SoA probe slabs once,
-  // so every probe runs the batched overlap kernel instead of per-box
-  // scalar tests. Gathering is index-side work, hence build time; the slab
-  // bytes are probe scratch and stay out of memory_bytes, the paper's
-  // index-footprint metric (same treatment as the sweep's sorted copies).
-  RTreeProbeSlabs slabs;
-  slabs.Build(tree, a);
+  // Gather the tree's items into an SoA slab once, so every probe runs the
+  // batched overlap kernel instead of per-box scalar tests. Gathering is
+  // index-side work, hence build time; the slab bytes are probe scratch and
+  // stay out of memory_bytes, the paper's index-footprint metric (same
+  // treatment as the sweep's sorted copies).
+  BoxSlab items;
+  items.AssignGather(a, tree.item_ids());
   stats.build_seconds = phase.Seconds();
   stats.memory_bytes = tree.MemoryUsageBytes();
 
   phase.Reset();
   // Ambient kernel span (no-op outside a traced engine request).
   SpanScope probe_span("inl-probe");
-  BatchedTreeProbe(tree, slabs, b, /*probe_epsilon=*/0.0f,
+  BatchedTreeProbe(tree, items, b, /*probe_epsilon=*/0.0f,
                    /*swap_emit=*/false, &stats, out);
   probe_span.End();
   stats.join_seconds = phase.Seconds();

@@ -40,8 +40,8 @@ JoinStats InsertionRTreeJoin::Join(std::span<const Box> a,
 
   phase.Reset();
   ++stats.node_comparisons;
-  if (Intersects(tree_a.nodes()[tree_a.root()].mbr,
-                 tree_b.nodes()[tree_b.root()].mbr)) {
+  if (Intersects(tree_a.NodeMbr(tree_a.root()),
+                 tree_b.NodeMbr(tree_b.root()))) {
     SyncTraverse(a, b, tree_a, tree_b, tree_a.root(), tree_b.root(),
                  options_.local_join, &stats,
                  [&](uint32_t a_id, uint32_t b_id) {

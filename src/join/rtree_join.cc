@@ -35,8 +35,8 @@ JoinStats RTreeSyncJoin::Join(std::span<const Box> a, std::span<const Box> b,
 
   phase.Reset();
   ++stats.node_comparisons;
-  if (Intersects(tree_a.nodes()[tree_a.root()].mbr,
-                 tree_b.nodes()[tree_b.root()].mbr)) {
+  if (Intersects(tree_a.NodeMbr(tree_a.root()),
+                 tree_b.NodeMbr(tree_b.root()))) {
     JoinNodes(a, b, tree_a, tree_b, tree_a.root(), tree_b.root(), &stats, out);
   }
   stats.join_seconds = phase.Seconds();

@@ -36,19 +36,17 @@ void SyncTraverse(std::span<const Box> a, std::span<const Box> b,
   }
 
   if (!na.IsLeaf() && (nb.IsLeaf() || na.level >= nb.level)) {
-    for (uint32_t i = na.begin; i < na.begin + na.count; ++i) {
-      const uint32_t child = tree_a.child_ids()[i];
+    for (uint32_t child = na.begin; child < na.begin + na.count; ++child) {
       ++stats->node_comparisons;
-      if (Intersects(tree_a.nodes()[child].mbr, nb.mbr)) {
+      if (Intersects(tree_a.NodeMbr(child), tree_b.NodeMbr(node_b))) {
         SyncTraverse(a, b, tree_a, tree_b, child, node_b, local_join, stats,
                      emit);
       }
     }
   } else {
-    for (uint32_t i = nb.begin; i < nb.begin + nb.count; ++i) {
-      const uint32_t child = tree_b.child_ids()[i];
+    for (uint32_t child = nb.begin; child < nb.begin + nb.count; ++child) {
       ++stats->node_comparisons;
-      if (Intersects(na.mbr, tree_b.nodes()[child].mbr)) {
+      if (Intersects(tree_a.NodeMbr(node_a), tree_b.NodeMbr(child))) {
         SyncTraverse(a, b, tree_a, tree_b, node_a, child, local_join, stats,
                      emit);
       }

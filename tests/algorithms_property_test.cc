@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/factory.h"
 #include "datagen/distributions.h"
@@ -66,13 +67,20 @@ TEST_P(JoinPropertyTest, MatchesNestedLoopOracle) {
 
 std::vector<PropertyCase> AllCases() {
   std::vector<PropertyCase> cases;
-  // PBSM resolutions are chosen for the 200-unit test space: cell edges of
-  // 5, 2 and ~28 units (resolution 500 over this space would replicate each
-  // enlarged box into ~10^5 cells and thrash memory for no extra coverage).
-  const std::vector<std::string> algorithms = {
-      "ps",        "pbsm-40",       "pbsm-100",    "pbsm-7",
-      "s3",        "inl",           "rtree",       "rtree-hilbert",
-      "rtree-tgs", "rtree-guttman", "rtree-rstar", "touch"};
+  // Every factory name but the nl oracle itself, so a new name is checked
+  // against it without being listed here. PBSM resolutions are chosen for
+  // the 200-unit test space: pbsm-500 would replicate each enlarged box into
+  // ~10^5 cells and thrash memory for no extra coverage, so it runs as
+  // pbsm-40 and pbsm-7 (cell edges of 5 and ~28 units) beside pbsm-100's 2.
+  std::vector<std::string> algorithms;
+  for (const std::string& name : AllAlgorithmNames()) {
+    if (name == "nl") continue;
+    if (name == "pbsm-500") {
+      algorithms.insert(algorithms.end(), {"pbsm-40", "pbsm-7"});
+      continue;
+    }
+    algorithms.push_back(name);
+  }
   const Distribution distributions[] = {
       Distribution::kUniform, Distribution::kGaussian,
       Distribution::kClustered};

@@ -9,7 +9,9 @@
 
 #include "core/overlap_kernel.h"
 #include "datagen/distributions.h"
+#include "index/rtree.h"
 #include "join/nested_loop.h"
+#include "join/rtree_join.h"
 #include "obs/metrics.h"
 #include "test_util.h"
 
@@ -295,6 +297,35 @@ TEST_F(QueryEngineTest, InlIndexIsCachedAndMatchesOracle) {
       engine.ExecuteFixed("inl", {b, a, 4.0f}, reversed).index_cache_hit);
   EXPECT_TRUE(
       engine.ExecuteFixed("inl", {b, a, 2.0f}, reversed).index_cache_hit);
+}
+
+// With the tree on A and epsilon > 0, the INL artifact keeps no enlarged box
+// copy: its probe reads only the tree and its item slab, so those are all
+// the cache holds for it.
+TEST_F(QueryEngineTest, InlIndexOnEnlargedSideHoldsOnlyTreeAndItemSlab) {
+  QueryEngine engine;
+  const DatasetHandle a = engine.RegisterDataset("small", small_);
+  const DatasetHandle b = engine.RegisterDataset("large", large_);
+  VectorCollector out;
+  const JoinResult result = engine.ExecuteFixed("inl", {a, b, 2.0f}, out);
+  ASSERT_TRUE(result.error.empty());
+  ASSERT_TRUE(result.plan.build_on_a);
+  EXPECT_EQ(SortedPairs(out), DistanceOracle(small_, large_, 2.0f));
+
+  Dataset enlarged = small_;
+  for (Box& box : enlarged) box = box.Enlarged(2.0f);
+  const RTreeJoinOptions options;
+  const RTree tree(enlarged, options.leaf_capacity, options.fanout,
+                   options.bulkload);
+  BoxSlab items;
+  items.AssignGather(enlarged, tree.item_ids());
+  EXPECT_EQ(engine.cache_stats().entries, 1u);
+  EXPECT_EQ(engine.cache_stats().bytes,
+            tree.MemoryUsageBytes() + items.MemoryUsageBytes());
+
+  VectorCollector warm;
+  EXPECT_TRUE(engine.ExecuteFixed("inl", {a, b, 2.0f}, warm).index_cache_hit);
+  EXPECT_EQ(warm.pairs(), out.pairs());
 }
 
 // PBSM caches one cell directory per dataset; a repeat query reuses both.

@@ -220,16 +220,12 @@ TEST_F(HilbertRTreeTest, InvariantsHold) {
   const RTree tree(boxes_, 16, 4, BulkLoadMethod::kHilbert);
   EXPECT_EQ(tree.size(), boxes_.size());
   // Every node's MBR contains its children's MBRs / items.
-  for (const RTree::Node& node : tree.nodes()) {
-    if (node.IsLeaf()) {
-      for (uint32_t i = node.begin; i < node.begin + node.count; ++i) {
-        EXPECT_TRUE(Contains(node.mbr, boxes_[tree.item_ids()[i]]));
-      }
-    } else {
-      for (uint32_t i = node.begin; i < node.begin + node.count; ++i) {
-        EXPECT_TRUE(
-            Contains(node.mbr, tree.nodes()[tree.child_ids()[i]].mbr));
-      }
+  for (uint32_t id = 0; id < tree.nodes().size(); ++id) {
+    const RTree::Node& node = tree.nodes()[id];
+    const Box mbr = tree.NodeMbr(id);
+    for (uint32_t i = node.begin; i < node.begin + node.count; ++i) {
+      EXPECT_TRUE(Contains(mbr, node.IsLeaf() ? boxes_[tree.item_ids()[i]]
+                                              : tree.NodeMbr(i)));
     }
   }
   // Every item appears exactly once.
@@ -263,8 +259,8 @@ TEST_F(HilbertRTreeTest, LeafVolumeComparableToStr) {
   auto leaf_volume = [&](BulkLoadMethod method) {
     const RTree tree(boxes_, 16, 4, method);
     double volume = 0;
-    for (const RTree::Node& node : tree.nodes()) {
-      if (node.IsLeaf()) volume += node.mbr.Volume();
+    for (uint32_t id = 0; id < tree.nodes().size(); ++id) {
+      if (tree.nodes()[id].IsLeaf()) volume += tree.NodeMbr(id).Volume();
     }
     return volume;
   };

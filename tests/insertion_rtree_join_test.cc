@@ -27,17 +27,18 @@ TEST(FromDynamicTest, FlatTreeMirrorsDynamicTree) {
   std::vector<int> seen(boxes.size(), 0);
   std::function<void(uint32_t)> walk = [&](uint32_t id) {
     const RTree::Node& node = flat.nodes()[id];
+    const Box mbr = flat.NodeMbr(id);
     if (node.IsLeaf()) {
       for (uint32_t i = node.begin; i < node.begin + node.count; ++i) {
         const uint32_t obj = flat.item_ids()[i];
-        EXPECT_TRUE(Contains(node.mbr, boxes[obj]));
+        EXPECT_TRUE(Contains(mbr, boxes[obj]));
         ++seen[obj];
       }
       return;
     }
-    for (uint32_t i = node.begin; i < node.begin + node.count; ++i) {
-      const uint32_t child = flat.child_ids()[i];
-      EXPECT_TRUE(Contains(node.mbr, flat.nodes()[child].mbr));
+    for (uint32_t child = node.begin; child < node.begin + node.count;
+         ++child) {
+      EXPECT_TRUE(Contains(mbr, flat.NodeMbr(child)));
       walk(child);
     }
   };

@@ -265,11 +265,11 @@ TEST(BatchedTreeProbeTest, MatchesScalarQuerySequenceAndStats) {
           &scalar_stats);
     }
 
-    RTreeProbeSlabs slabs;
-    slabs.Build(tree, a);
+    BoxSlab items;
+    items.AssignGather(a, tree.item_ids());
     JoinStats batched_stats;
     VectorCollector batched_out;
-    BatchedTreeProbe(tree, slabs, b, probe_epsilon, /*swap_emit=*/false,
+    BatchedTreeProbe(tree, items, b, probe_epsilon, /*swap_emit=*/false,
                      &batched_stats, batched_out);
 
     EXPECT_EQ(batched_out.pairs(), scalar_out.pairs());  // order included
@@ -283,14 +283,14 @@ TEST(BatchedTreeProbeTest, SwapEmitFlipsPairOrientation) {
   const Dataset a = GenerateSynthetic(Distribution::kUniform, 300, 9);
   const Dataset b = GenerateSynthetic(Distribution::kUniform, 200, 10);
   const RTree tree(a, 16, 8);
-  RTreeProbeSlabs slabs;
-  slabs.Build(tree, a);
+  BoxSlab items;
+  items.AssignGather(a, tree.item_ids());
   JoinStats stats;
   VectorCollector straight;
   VectorCollector swapped;
-  BatchedTreeProbe(tree, slabs, b, 0.0f, /*swap_emit=*/false, &stats,
+  BatchedTreeProbe(tree, items, b, 0.0f, /*swap_emit=*/false, &stats,
                    straight);
-  BatchedTreeProbe(tree, slabs, b, 0.0f, /*swap_emit=*/true, &stats, swapped);
+  BatchedTreeProbe(tree, items, b, 0.0f, /*swap_emit=*/true, &stats, swapped);
   ASSERT_EQ(straight.pairs().size(), swapped.pairs().size());
   for (size_t i = 0; i < straight.pairs().size(); ++i) {
     EXPECT_EQ(straight.pairs()[i].first, swapped.pairs()[i].second);
@@ -302,13 +302,13 @@ TEST(BatchedTreeProbeTest, CancellationStopsEarly) {
   const Dataset a = GenerateSynthetic(Distribution::kUniform, 2000, 12);
   const Dataset b = GenerateSynthetic(Distribution::kUniform, 5000, 13);
   const RTree tree(a, 16, 8);
-  RTreeProbeSlabs slabs;
-  slabs.Build(tree, a);
+  BoxSlab items;
+  items.AssignGather(a, tree.item_ids());
   CancellationSource source;
   source.RequestStop();
   JoinStats stats;
   VectorCollector out;
-  const uint64_t probed = BatchedTreeProbe(tree, slabs, b, 0.0f, false,
+  const uint64_t probed = BatchedTreeProbe(tree, items, b, 0.0f, false,
                                            &stats, out, source.token());
   EXPECT_EQ(probed, 0u);
   EXPECT_TRUE(out.pairs().empty());
@@ -468,21 +468,21 @@ TEST(CrossLevelTest, TreeProbePairsAndStatsIdenticalAcrossLevels) {
   const Dataset a = GenerateSynthetic(Distribution::kClustered, 900, 5);
   const Dataset b = GenerateSynthetic(Distribution::kUniform, 500, 6);
   const RTree tree(a, /*leaf_capacity=*/16, /*fanout=*/8);
-  RTreeProbeSlabs slabs;
-  slabs.Build(tree, a);
+  BoxSlab items;
+  items.AssignGather(a, tree.item_ids());
 
   JoinStats reference_stats;
   VectorCollector reference_out;
   {
     ScopedSimdLevel forced(simd::Level::kScalar);
-    BatchedTreeProbe(tree, slabs, b, 3.0f, /*swap_emit=*/false,
+    BatchedTreeProbe(tree, items, b, 3.0f, /*swap_emit=*/false,
                      &reference_stats, reference_out);
   }
   for (const simd::Level level : simd::RuntimeAvailableLevels()) {
     ScopedSimdLevel forced(level);
     JoinStats stats;
     VectorCollector out;
-    BatchedTreeProbe(tree, slabs, b, 3.0f, /*swap_emit=*/false, &stats, out);
+    BatchedTreeProbe(tree, items, b, 3.0f, /*swap_emit=*/false, &stats, out);
     EXPECT_EQ(out.pairs(), reference_out.pairs()) << simd::LevelName(level);
     EXPECT_EQ(stats.comparisons, reference_stats.comparisons)
         << simd::LevelName(level);

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "datagen/distributions.h"
 #include "index/dynamic_rtree.h"
@@ -27,7 +30,10 @@ std::vector<uint32_t> BruteForceQuery(const Dataset& boxes, const Box& query) {
 // The class invariants every RTree holds, however it was built: items are a
 // permutation of the input in DFS leaf order, so the children's item ranges
 // (through ItemRange) tile the parent's; MBRs enclose their descendants;
-// levels step by one; no inner node has more than `fanout` children.
+// levels step by one; no inner node has more than `fanout` children. And
+// the layout: ids run level by level, leaves first and the root last; each
+// level's child ranges tile the level below in parent order; leaf ids
+// ascend in item order.
 void ExpectStructuralInvariants(const RTree& tree, const Dataset& boxes,
                                 size_t fanout, const std::string& label) {
   SCOPED_TRACE(label);
@@ -37,34 +43,68 @@ void ExpectStructuralInvariants(const RTree& tree, const Dataset& boxes,
   for (uint32_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], i);
   if (tree.empty()) return;
 
+  const std::span<const RTree::Node> nodes = tree.nodes();
+  const uint32_t node_count = static_cast<uint32_t>(nodes.size());
+  ASSERT_EQ(tree.node_mbrs().size(), nodes.size());
+  EXPECT_EQ(tree.root(), node_count - 1);
   const RTree::ItemSpan root = tree.ItemRange(tree.root());
   EXPECT_EQ(root.begin, 0u);
   EXPECT_EQ(root.end, boxes.size());
-  EXPECT_EQ(tree.nodes()[tree.root()].level + 1, tree.height());
-  for (uint32_t id = 0; id < tree.nodes().size(); ++id) {
-    const RTree::Node& node = tree.nodes()[id];
+  EXPECT_EQ(nodes[tree.root()].level + 1, tree.height());
+  // level_begin[l]: the first id of level l. next_child[l]: the next level-l
+  // id a parent must claim.
+  std::vector<uint32_t> level_begin(tree.height() + 1, node_count);
+  for (uint32_t id = node_count; id-- > 0;) {
+    if (id + 1 < node_count) {
+      ASSERT_LE(nodes[id].level, nodes[id + 1].level) << id;
+    }
+    level_begin[nodes[id].level] = id;
+  }
+  std::vector<uint32_t> next_child = level_begin;
+  uint32_t next_item = 0;
+  for (uint32_t id = 0; id < node_count; ++id) {
+    const RTree::Node& node = nodes[id];
+    const Box mbr = tree.NodeMbr(id);
     const RTree::ItemSpan items = tree.ItemRange(id);
     for (uint32_t i = items.begin; i < items.end; ++i) {
-      EXPECT_TRUE(Contains(node.mbr, boxes[tree.item_ids()[i]])) << id;
+      EXPECT_TRUE(Contains(mbr, boxes[tree.item_ids()[i]])) << id;
     }
     if (node.IsLeaf()) {
       EXPECT_EQ(items.begin, node.begin);
       EXPECT_EQ(items.size(), node.count);
+      EXPECT_EQ(node.begin, next_item) << "leaf " << id;
+      next_item = node.begin + node.count;
       continue;
     }
     EXPECT_GE(node.count, 1u);
     EXPECT_LE(node.count, fanout);
+    EXPECT_EQ(node.begin, next_child[node.level - 1]) << "node " << id;
+    next_child[node.level - 1] = node.begin + node.count;
     uint32_t next = items.begin;
-    for (uint32_t i = node.begin; i < node.begin + node.count; ++i) {
-      const uint32_t child = tree.child_ids()[i];
-      EXPECT_TRUE(Contains(node.mbr, tree.nodes()[child].mbr));
-      EXPECT_EQ(tree.nodes()[child].level + 1, node.level);
+    for (uint32_t child = node.begin; child < node.begin + node.count;
+         ++child) {
+      EXPECT_TRUE(Contains(mbr, tree.NodeMbr(child)));
+      EXPECT_EQ(nodes[child].level + 1, node.level);
       const RTree::ItemSpan child_items = tree.ItemRange(child);
       EXPECT_EQ(child_items.begin, next) << "node " << id;
       next = child_items.end;
     }
     EXPECT_EQ(next, items.end) << "node " << id;
   }
+  EXPECT_EQ(next_item, boxes.size());
+  for (int level = 0; level + 1 < tree.height(); ++level) {
+    EXPECT_EQ(next_child[level], level_begin[level + 1]) << "level " << level;
+  }
+}
+
+// Bitwise equality of the six coordinate arrays of two slabs' first n rows.
+bool SameRows(const BoxSlab& x, const BoxSlab& y, size_t n) {
+  const auto same = [n](const float* p, const float* q) {
+    return std::memcmp(p, q, n * sizeof(float)) == 0;
+  };
+  return same(x.lo_x(), y.lo_x()) && same(x.lo_y(), y.lo_y()) &&
+         same(x.lo_z(), y.lo_z()) && same(x.hi_x(), y.hi_x()) &&
+         same(x.hi_y(), y.hi_y()) && same(x.hi_z(), y.hi_z());
 }
 
 bool SameTree(const RTree& x, const RTree& y) {
@@ -75,12 +115,11 @@ bool SameTree(const RTree& x, const RTree& y) {
   for (size_t i = 0; i < x.nodes().size(); ++i) {
     const RTree::Node& a = x.nodes()[i];
     const RTree::Node& b = y.nodes()[i];
-    if (!(a.mbr == b.mbr) || a.begin != b.begin || a.count != b.count ||
-        a.level != b.level) {
+    if (a.begin != b.begin || a.count != b.count || a.level != b.level) {
       return false;
     }
   }
-  return std::ranges::equal(x.child_ids(), y.child_ids()) &&
+  return SameRows(x.node_mbrs(), y.node_mbrs(), x.nodes().size()) &&
          std::ranges::equal(x.item_ids(), y.item_ids()) &&
          x.MemoryUsageBytes() == y.MemoryUsageBytes();
 }
@@ -153,18 +192,27 @@ TEST(RTreeTest, InvariantsHoldForInsertionBuiltTrees) {
 }
 
 TEST(RTreeTest, LeavesKeepTheirPackingOrder) {
-  // The DFS pass moves whole leaves; it never reorders the items inside one,
-  // so leaf i holds exactly STR bucket i, in bucket order.
+  // Laying the tree out moves whole leaves; it never reorders the items
+  // inside one, so each leaf holds exactly one STR bucket, in bucket order,
+  // and every bucket is some leaf.
   const Dataset boxes = GenerateSynthetic(Distribution::kGaussian, 3000, 7);
   const RTree tree(boxes, 16, 3);
   const StrPartitioning buckets = StrPartition(boxes, 16);
   ASSERT_EQ(LeafCount(tree), buckets.NumBuckets());
+  std::vector<uint32_t> bucket_starting_with(boxes.size(), UINT32_MAX);
+  for (uint32_t b = 0; b < buckets.NumBuckets(); ++b) {
+    bucket_starting_with[buckets.Bucket(b).front()] = b;
+  }
+  std::vector<bool> seen(buckets.NumBuckets(), false);
   for (uint32_t leaf = 0; leaf < buckets.NumBuckets(); ++leaf) {
     const RTree::Node& node = tree.nodes()[leaf];
     ASSERT_TRUE(node.IsLeaf());
-    EXPECT_TRUE(std::ranges::equal(
-        tree.item_ids().subspan(node.begin, node.count),
-        buckets.Bucket(leaf)))
+    const auto items = tree.item_ids().subspan(node.begin, node.count);
+    const uint32_t b = bucket_starting_with[items.front()];
+    ASSERT_NE(b, UINT32_MAX) << "leaf " << leaf;
+    EXPECT_FALSE(seen[b]) << "leaf " << leaf;
+    seen[b] = true;
+    EXPECT_TRUE(std::ranges::equal(items, buckets.Bucket(b)))
         << "leaf " << leaf;
   }
 }
@@ -211,16 +259,12 @@ TEST(RTreeTest, LeafCapacityControlsLeafCount) {
 TEST(RTreeTest, NodeMbrsEncloseChildren) {
   const Dataset boxes = GenerateSynthetic(Distribution::kClustered, 2000, 1);
   const RTree tree(boxes, 16, 4);
-  for (const RTree::Node& node : tree.nodes()) {
-    if (node.IsLeaf()) {
-      for (uint32_t i = node.begin; i < node.begin + node.count; ++i) {
-        EXPECT_TRUE(Contains(node.mbr, boxes[tree.item_ids()[i]]));
-      }
-    } else {
-      for (uint32_t i = node.begin; i < node.begin + node.count; ++i) {
-        EXPECT_TRUE(
-            Contains(node.mbr, tree.nodes()[tree.child_ids()[i]].mbr));
-      }
+  for (uint32_t id = 0; id < tree.nodes().size(); ++id) {
+    const RTree::Node& node = tree.nodes()[id];
+    const Box mbr = tree.NodeMbr(id);
+    for (uint32_t i = node.begin; i < node.begin + node.count; ++i) {
+      EXPECT_TRUE(Contains(mbr, node.IsLeaf() ? boxes[tree.item_ids()[i]]
+                                              : tree.NodeMbr(i)));
     }
   }
 }
@@ -301,7 +345,7 @@ TEST(RTreeTest, IdenticalBoxesAllFound) {
   tree.Query(boxes, MakeBox(5.5f, 5.5f, 5.5f, 5.6f, 5.6f, 5.6f),
              [&](uint32_t id) { hits.push_back(id); }, &stats);
   EXPECT_EQ(hits.size(), boxes.size());
-  EXPECT_EQ(tree.nodes()[tree.root()].mbr, MakeBox(5, 5, 5, 6, 6, 6));
+  EXPECT_EQ(tree.NodeMbr(tree.root()), MakeBox(5, 5, 5, 6, 6, 6));
 }
 
 }  // namespace

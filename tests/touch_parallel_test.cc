@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/overlap_kernel.h"
 #include "core/touch.h"
 #include "datagen/distributions.h"
 #include "test_util.h"
@@ -100,15 +99,11 @@ TEST(TouchParallelEdgeTest, ChunkedAssignmentMatchesSequentialRun) {
     const Dataset& build = on_a ? a : b;
     const Dataset& probe = on_a ? b : a;
     const RTree tree(build, (build.size() + 1023) / 1024, /*fanout=*/2);
-    BoxSlab child_mbrs;
-    child_mbrs.AssignGenerated(tree.child_ids().size(), [&](size_t i) {
-      return tree.nodes()[tree.child_ids()[i]].mbr;
-    });
     const TouchAssignment expected =
-        AssignToTree(tree, child_mbrs, probe, kEpsilon, {}, nullptr);
+        AssignToTree(tree, probe, kEpsilon, {}, nullptr);
     HelperSet helpers;
     const TouchAssignment chunked =
-        AssignToTree(tree, child_mbrs, probe, kEpsilon, {}, &pool, &helpers);
+        AssignToTree(tree, probe, kEpsilon, {}, &pool, &helpers);
     EXPECT_LE(helpers.count(), pool.thread_count());
     EXPECT_EQ(chunked.entity_offsets, expected.entity_offsets);
     EXPECT_EQ(chunked.entity_ids, expected.entity_ids);
