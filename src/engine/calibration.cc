@@ -18,13 +18,6 @@ std::optional<double> CalibrationSnapshot::Predict(const std::string& family,
   return model->Predict(objects, results);
 }
 
-std::optional<double> CalibrationSnapshot::PredictBuildSeconds(
-    const std::string& family, double objects) const {
-  const CostModel* model = Find(family);
-  if (model == nullptr || model->samples < min_samples_) return std::nullopt;
-  return model->PredictBuild(objects);
-}
-
 const CostModel* CalibrationSnapshot::Find(const std::string& family) const {
   const auto it = models_.find(family);
   return it == models_.end() ? nullptr : &it->second;
@@ -102,7 +95,6 @@ void PlanFeedback::Record(const PlanOutcome& outcome) {
   sums.results_sq += results * results;
   sums.objects_time += objects * seconds;
   sums.results_time += results * seconds;
-  sums.objects_build += objects * outcome.build_seconds;
   ++recorded_;
   log_.push_back(outcome);
   while (max_outcomes_ > 0 && log_.size() > max_outcomes_) log_.pop_front();
@@ -113,16 +105,9 @@ CalibrationSnapshot PlanFeedback::Snapshot(size_t min_samples) const {
   {
     const MutexLock lock(mutex_);
     for (const auto& [family, sums] : sums_) {
-      CostModel model =
+      models[family] =
           FitCostModel(sums.n, sums.objects_sq, sums.objects_results,
                        sums.results_sq, sums.objects_time, sums.results_time);
-      // Build phase alone: single-coefficient least squares through the
-      // origin (build work scales with the indexed objects, not results).
-      model.build_seconds_per_object =
-          sums.objects_sq > 0
-              ? std::max(0.0, sums.objects_build / sums.objects_sq)
-              : 0.0;
-      models[family] = model;
     }
   }
   return CalibrationSnapshot(std::move(models), min_samples);

@@ -64,20 +64,10 @@ std::string AlgorithmFamily(const std::string& algorithm);
 struct CostModel {
   double seconds_per_object = 0;
   double seconds_per_result = 0;
-  /// Fitted *build-phase* rate (seconds ~= build_seconds_per_object *
-  /// objects, least squares through the origin): what one index build over
-  /// this family costs per object. Consumed by the cache's pre-admission
-  /// policy, which wants the rebuild cost of an artifact, not the whole
-  /// query.
-  double build_seconds_per_object = 0;
   size_t samples = 0;
 
   double Predict(double objects, double results) const {
     return seconds_per_object * objects + seconds_per_result * results;
-  }
-
-  double PredictBuild(double objects) const {
-    return build_seconds_per_object * objects;
   }
 };
 
@@ -95,13 +85,6 @@ class CalibrationSnapshot {
   /// fewer than min_samples measured runs.
   std::optional<double> Predict(const std::string& family, double objects,
                                 double results) const;
-
-  /// Predicted index-build seconds for `family` at `objects` total request
-  /// objects, under the same min_samples gate. The cache's pre-admission
-  /// consults this: an artifact whose predicted rebuild is expensive skips
-  /// the ghost probation.
-  std::optional<double> PredictBuildSeconds(const std::string& family,
-                                            double objects) const;
 
   /// The fitted model regardless of sample count (telemetry/debugging).
   const CostModel* Find(const std::string& family) const;
@@ -151,7 +134,6 @@ class PlanFeedback {
     double results_sq = 0;       // sum r_i^2
     double objects_time = 0;     // sum o_i * t_i
     double results_time = 0;     // sum r_i * t_i
-    double objects_build = 0;    // sum o_i * build_i (build-rate fit)
   };
 
   mutable Mutex mutex_;

@@ -689,10 +689,7 @@ QueryEngine::QueryEngine(const EngineOptions& options)
       metrics_(options.metrics ? options.metrics
                                : std::make_shared<MetricsRegistry>()),
       planner_(options.planner),
-      cache_(IndexCacheOptions{options.max_cache_bytes,
-                               options.cache_admission,
-                               options.cache_ghost_entries,
-                               options.cache_preadmit_build_seconds}),
+      cache_(options.max_cache_bytes),
       feedback_(options.calibration.max_outcomes),
       pool_(options.threads) {
   // Resolve kernel dispatch now, not on the first worker probe: a bad
@@ -863,22 +860,6 @@ void QueryEngine::RecordOutcome(const JoinRequest& request,
       result.stats.assign_seconds + result.stats.join_seconds;
   outcome.total_seconds = result.stats.total_seconds;
   feedback_.Record(outcome);
-}
-
-double QueryEngine::PredictedBuildSeconds(const std::string& family,
-                                          const JoinRequest& request) const {
-  // Only worth a snapshot when the cache can act on the prediction and the
-  // feedback store has evidence to predict from.
-  if (!options_.cache_admission || !options_.calibration.enabled) return 0.0;
-  const CalibrationSnapshot snapshot =
-      feedback_.Snapshot(options_.calibration.min_samples);
-  // The fit's object feature is the request's total cardinality; the same
-  // feature keeps prediction consistent with the recorded evidence even
-  // though the artifact covers only the build side.
-  const double objects =
-      static_cast<double>(catalog_.snapshot(request.a)->stats.count) +
-      static_cast<double>(catalog_.snapshot(request.b)->stats.count);
-  return snapshot.PredictBuildSeconds(family, objects).value_or(0.0);
 }
 
 // --- Asynchronous submission ------------------------------------------------
@@ -1406,15 +1387,10 @@ JoinResult QueryEngine::ExecuteCached(const internal::ArtifactFamily& family,
   double build_seconds = 0.0;
   for (const ArtifactNeed& need : needs) {
     bool missed = false;
-    IndexCache::ArtifactPtr artifact = cache_.GetOrBuild(
-        need.key,
-        [&]() -> IndexCache::ArtifactPtr {
+    IndexCache::ArtifactPtr artifact =
+        cache_.GetOrBuild(need.key, [&]() -> IndexCache::ArtifactPtr {
           missed = true;
           return family.build(in, need);
-        },
-        [&] {
-          return PredictedBuildSeconds(AlgorithmFamily(plan.algorithm),
-                                       request);
         });
     if (family.fits != nullptr && !family.fits(in, artifact)) {
       missed = true;

@@ -65,20 +65,6 @@ struct EngineOptions {
   /// exceed it, the lowest build-cost-density ones are evicted (ties fall
   /// back to LRU); see IndexCache.
   size_t max_cache_bytes = 0;
-  /// Ghost-list cache admission: an artifact is only retained after the
-  /// *second* build request for its key, so one-off queries cannot churn
-  /// the cache. Off (the default) admits every build. See IndexCacheOptions.
-  bool cache_admission = false;
-  /// Keys the admission ghost list remembers (only meaningful with
-  /// cache_admission on).
-  size_t cache_ghost_entries = 1024;
-  /// Pre-admission threshold (only meaningful with cache_admission on):
-  /// a first-sighting artifact whose *fitted* build cost — predicted from
-  /// the calibration store's per-family build rates — reaches this many
-  /// seconds skips the one-miss ghost probation and is retained
-  /// immediately. 0 disables pre-admission. See
-  /// IndexCacheOptions::preadmit_build_seconds.
-  double cache_preadmit_build_seconds = 0.25;
   /// Shards per dataset of a ShardedQueryEngine built on these options
   /// (sharded_engine.h): each registered dataset is spatially partitioned
   /// into this many pieces and joins scatter-gather across shard pairs.
@@ -525,10 +511,6 @@ class QueryEngine {
   /// datasets as `ctx` pinned them, the version that ran.
   void RecordOutcome(const JoinRequest& request, const ExecContext& ctx,
                      const JoinResult& result);
-  /// Fitted build-cost prediction for the cache's pre-admission policy
-  /// (0 when admission or calibration is off, or the family is unmeasured).
-  double PredictedBuildSeconds(const std::string& family,
-                               const JoinRequest& request) const;
   /// Continuous-submit path: registers the standing query and emits the
   /// initial pair set as kAdded deltas (under the mutation serialization,
   /// so no batch can interleave with the baseline).

@@ -19,43 +19,8 @@ const char* ArtifactKindName(ArtifactKind kind) {
   return "unknown";
 }
 
-bool IndexCache::AdmitMissLocked(const IndexCacheKey& key,
-                                 const BuildCostFn& expected_build_seconds) {
-  if (!options_.admission) return true;
-  if (options_.preadmit_build_seconds > 0 && expected_build_seconds &&
-      expected_build_seconds() >= options_.preadmit_build_seconds) {
-    // Predicted too expensive to rebuild on probation: admit on first
-    // sight, and drop any ghost memory of the key (it is resident now).
-    ++admission_preadmits_;
-    const auto ghost = ghost_index_.find(key);
-    if (ghost != ghost_index_.end()) {
-      ghost_.erase(ghost->second);
-      ghost_index_.erase(ghost);
-    }
-    return true;
-  }
-  const auto ghost = ghost_index_.find(key);
-  if (ghost != ghost_index_.end()) {
-    // Second build request for this key: admit, and forget the ghost (a
-    // later re-miss after eviction starts the admission cycle over).
-    ghost_.erase(ghost->second);
-    ghost_index_.erase(ghost);
-    return true;
-  }
-  // First sighting: reject, but remember the key so the next request for it
-  // proves the artifact is not a one-off.
-  ghost_.push_front(key);
-  ghost_index_.emplace(key, ghost_.begin());
-  while (ghost_.size() > std::max<size_t>(1, options_.ghost_capacity)) {
-    ghost_index_.erase(ghost_.back());
-    ghost_.pop_back();
-  }
-  return false;
-}
-
-IndexCache::ArtifactPtr IndexCache::GetOrBuild(
-    const IndexCacheKey& key, const Builder& build,
-    const BuildCostFn& expected_build_seconds) {
+IndexCache::ArtifactPtr IndexCache::GetOrBuild(const IndexCacheKey& key,
+                                               const Builder& build) {
   std::promise<ArtifactPtr> promise;
   std::shared_future<ArtifactPtr> future;
   uint64_t ticket = 0;
@@ -75,14 +40,12 @@ IndexCache::ArtifactPtr IndexCache::GetOrBuild(
       future = it->second.future;
     } else {
       ++misses_;
-      const bool admitted = AdmitMissLocked(key, expected_build_seconds);
       ticket = next_ticket_++;
       future = promise.get_future().share();
       lru_.push_front(key);
       Entry entry;
       entry.future = future;
       entry.ticket = ticket;
-      entry.admitted = admitted;
       entry.lru_pos = lru_.begin();
       entries_.emplace(key, std::move(entry));
     }
@@ -119,30 +82,20 @@ IndexCache::ArtifactPtr IndexCache::GetOrBuild(
     MutexLock lock(mutex_);
     auto it = entries_.find(key);
     if (it != entries_.end() && it->second.ticket == ticket) {
-      if (!it->second.admitted) {
-        // Admission rejected this build at miss time: the entry existed
-        // only to single-flight concurrent requests. Waiters already hold
-        // the shared future (the value is set), so dropping the entry now
-        // serves everyone and retains nothing.
-        ++admission_rejects_;
-        lru_.erase(it->second.lru_pos);
-        entries_.erase(it);
-      } else {
-        it->second.bytes = artifact->MemoryUsageBytes();
-        it->second.cost_density =
-            artifact->build_seconds /
-            static_cast<double>(std::max<size_t>(1, it->second.bytes));
-        it->second.ready = true;
-        bytes_ += it->second.bytes;
-        EvictOverCapLocked();
-      }
+      it->second.bytes = artifact->MemoryUsageBytes();
+      it->second.cost_density =
+          artifact->build_seconds /
+          static_cast<double>(std::max<size_t>(1, it->second.bytes));
+      it->second.ready = true;
+      bytes_ += it->second.bytes;
+      EvictOverCapLocked();
     }
   }
   return artifact;
 }
 
 void IndexCache::EvictOverCapLocked() {
-  if (options_.max_bytes == 0 || bytes_ <= options_.max_bytes) return;
+  if (max_bytes_ == 0 || bytes_ <= max_bytes_) return;
   // Victims: completed entries, cheapest-to-rebuild-per-byte first, ties
   // least-recently-used first. One scan + one sort under the lock, however
   // many entries the overshoot costs (an eviction burst must not rescan
@@ -164,7 +117,7 @@ void IndexCache::EvictOverCapLocked() {
                      return x.cost_density < y.cost_density;
                    });
   for (const Candidate& victim : candidates) {
-    if (bytes_ <= options_.max_bytes) return;
+    if (bytes_ <= max_bytes_) return;
     bytes_ -= victim.entry->second.bytes;
     ++evictions_;
     lru_.erase(victim.entry->second.lru_pos);
@@ -178,11 +131,9 @@ IndexCache::Stats IndexCache::stats() const {
   stats.hits = hits_;
   stats.misses = misses_;
   stats.evictions = evictions_;
-  stats.admission_rejects = admission_rejects_;
-  stats.admission_preadmits = admission_preadmits_;
   stats.entries = entries_.size();
   stats.bytes = bytes_;
-  stats.capacity_bytes = options_.max_bytes;
+  stats.capacity_bytes = max_bytes_;
   stats.cost_saved_seconds = cost_saved_seconds_;
   return stats;
 }
@@ -201,12 +152,6 @@ void IndexCache::RegisterMetricProviders(MetricsRegistry& registry,
                        sample([](const Stats& s) { return s.misses; }));
   registry.SetProvider(prefix + "evictions_total", MetricType::kCounter,
                        sample([](const Stats& s) { return s.evictions; }));
-  registry.SetProvider(
-      prefix + "admission_rejects_total", MetricType::kCounter,
-      sample([](const Stats& s) { return s.admission_rejects; }));
-  registry.SetProvider(
-      prefix + "admission_preadmits_total", MetricType::kCounter,
-      sample([](const Stats& s) { return s.admission_preadmits; }));
   registry.SetProvider(prefix + "entries", MetricType::kGauge,
                        sample([](const Stats& s) { return s.entries; }));
   registry.SetProvider(prefix + "bytes", MetricType::kGauge,
@@ -231,22 +176,12 @@ void IndexCache::InvalidateDataset(DatasetHandle dataset,
       ++it;
     }
   }
-  for (auto it = ghost_index_.begin(); it != ghost_index_.end();) {
-    if (it->first.dataset == dataset && it->first.version < current_version) {
-      ghost_.erase(it->second);
-      it = ghost_index_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 void IndexCache::Clear() {
   MutexLock lock(mutex_);
   entries_.clear();
   lru_.clear();
-  ghost_.clear();
-  ghost_index_.clear();
   bytes_ = 0;
 }
 

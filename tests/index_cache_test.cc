@@ -8,9 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "datagen/distributions.h"
-#include "engine/engine.h"
-
 namespace touch {
 namespace {
 
@@ -46,11 +43,6 @@ IndexCache::Builder Build(size_t bytes, int payload, int* builds = nullptr,
 
 int Payload(const IndexCache::ArtifactPtr& artifact) {
   return static_cast<const TestArtifact*>(artifact.get())->payload;
-}
-
-/// A build-cost prediction provider returning a fixed value.
-IndexCache::BuildCostFn Expect(double seconds) {
-  return [seconds] { return seconds; };
 }
 
 TEST(IndexCacheTest, HitReturnsSameArtifactAndCountsBytes) {
@@ -223,166 +215,6 @@ TEST(IndexCacheTest, HitsAccumulateCostSavedTelemetry) {
   cache.GetOrBuild(Key(0), Build(100, -1));
   cache.GetOrBuild(Key(0), Build(100, -1));
   EXPECT_DOUBLE_EQ(cache.stats().cost_saved_seconds, 4.0);
-}
-
-TEST(IndexCacheTest, AdmissionRejectsFirstBuildAndAdmitsSecond) {
-  IndexCache cache(IndexCacheOptions{0, /*admission=*/true, 16});
-  int builds = 0;
-
-  // First request: served, counted as a rejected admission, not retained.
-  EXPECT_EQ(Payload(cache.GetOrBuild(Key(0), Build(50, 1, &builds))), 1);
-  EXPECT_EQ(builds, 1);
-  IndexCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.bytes, 0u);
-  EXPECT_EQ(stats.admission_rejects, 1u);
-
-  // Second request: the ghost list remembers the key — build again, retain.
-  EXPECT_EQ(Payload(cache.GetOrBuild(Key(0), Build(50, 2, &builds))), 2);
-  EXPECT_EQ(builds, 2);
-  stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.bytes, 50u);
-  EXPECT_EQ(stats.admission_rejects, 1u);
-
-  // Third request: a plain hit.
-  EXPECT_EQ(Payload(cache.GetOrBuild(Key(0), Build(50, 3, &builds))), 2);
-  EXPECT_EQ(builds, 2);
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(IndexCacheTest, GhostListForgetsKeysBeyondItsCapacity) {
-  IndexCache cache(IndexCacheOptions{0, /*admission=*/true,
-                                     /*ghost_capacity=*/2});
-  int builds = 0;
-  cache.GetOrBuild(Key(0), Build(10, 0, &builds));  // ghost: [0]
-  cache.GetOrBuild(Key(1), Build(10, 1, &builds));  // ghost: [1, 0]
-  cache.GetOrBuild(Key(2), Build(10, 2, &builds));  // ghost: [2, 1] — 0 evicted
-  EXPECT_EQ(cache.stats().entries, 0u);
-
-  // Key 0 fell off the ghost list: its next request is a "first" again,
-  // re-remembered at the expense of the oldest ghost (key 1).
-  cache.GetOrBuild(Key(0), Build(10, 0, &builds));
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().admission_rejects, 4u);
-  // Key 2 is still remembered and gets admitted.
-  cache.GetOrBuild(Key(2), Build(10, 22, &builds));
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(builds, 5);
-}
-
-TEST(IndexCacheTest, ClearResetsGhostListMemory) {
-  IndexCache cache(IndexCacheOptions{0, /*admission=*/true, 16});
-  int builds = 0;
-  cache.GetOrBuild(Key(0), Build(10, 0, &builds));  // rejected, remembered
-  cache.Clear();
-  // The ghost memory is gone: this is a first sighting again.
-  cache.GetOrBuild(Key(0), Build(10, 0, &builds));
-  EXPECT_EQ(cache.stats().entries, 0u);
-  // And the cycle restarts cleanly.
-  cache.GetOrBuild(Key(0), Build(10, 0, &builds));
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(builds, 3);
-}
-
-TEST(IndexCacheTest, PreadmissionSkipsGhostProbationForExpensiveBuilds) {
-  IndexCacheOptions options{0, /*admission=*/true, 16};
-  options.preadmit_build_seconds = 0.1;
-  IndexCache cache(options);
-  int builds = 0;
-
-  // Predicted cheap: the normal one-miss probation applies.
-  cache.GetOrBuild(Key(0), Build(10, 1, &builds), Expect(0.01));
-  IndexCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.admission_rejects, 1u);
-  EXPECT_EQ(stats.admission_preadmits, 0u);
-
-  // Predicted expensive: retained on first sight, counted as a pre-admit.
-  EXPECT_EQ(Payload(cache.GetOrBuild(Key(1), Build(10, 2, &builds),
-                                     Expect(0.5))),
-            2);
-  stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.admission_rejects, 1u);
-  EXPECT_EQ(stats.admission_preadmits, 1u);
-
-  // The pre-admitted key now hits without a second build.
-  EXPECT_EQ(Payload(cache.GetOrBuild(Key(1), Build(10, 3, &builds))), 2);
-  EXPECT_EQ(builds, 2);
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(IndexCacheTest, PreadmissionClearsGhostMemoryOfTheKey) {
-  IndexCacheOptions options{0, /*admission=*/true, 16};
-  options.preadmit_build_seconds = 0.1;
-  IndexCache cache(options);
-  int builds = 0;
-  // First sighting with no prediction: rejected and remembered.
-  cache.GetOrBuild(Key(0), Build(10, 1, &builds));
-  // Now the cost model learned it is expensive: pre-admitted (not a
-  // ghost-list admission), and the ghost entry is consumed.
-  cache.GetOrBuild(Key(0), Build(10, 2, &builds), Expect(1.0));
-  const IndexCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.admission_preadmits, 1u);
-  EXPECT_EQ(builds, 2);
-}
-
-TEST(IndexCacheTest, PreadmissionDisabledByZeroThreshold) {
-  IndexCacheOptions options{0, /*admission=*/true, 16};
-  options.preadmit_build_seconds = 0;
-  IndexCache cache(options);
-  int builds = 0;
-  cache.GetOrBuild(Key(0), Build(10, 1, &builds), Expect(100.0));
-  const IndexCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.admission_rejects, 1u);
-  EXPECT_EQ(stats.admission_preadmits, 0u);
-}
-
-TEST(IndexCacheTest, EnginePreadmitsArtifactsWithExpensiveFittedBuilds) {
-  // Engine-level integration: with admission on and calibration evidence
-  // that TOUCH builds are catastrophic to rebuild, the first build of a
-  // touch tree is retained immediately (no one-miss probation).
-  EngineOptions options;
-  options.cache_admission = true;
-  options.cache_preadmit_build_seconds = 0.25;
-  // Force TOUCH plans regardless of workload shape.
-  options.planner.nested_loop_max = 0;
-  options.planner.plane_sweep_max = 0;
-  options.planner.pbsm_skew_max = -1.0;
-  QueryEngine engine(options);
-  const DatasetHandle a = engine.RegisterDataset(
-      "A", GenerateSynthetic(Distribution::kUniform, 3000, 71));
-  const DatasetHandle b = engine.RegisterDataset(
-      "B", GenerateSynthetic(Distribution::kUniform, 4000, 72));
-
-  // Teach the calibrator that touch builds cost ~1s at this size: rate =
-  // build/objects ≈ 1.4e-4 s/object, so 7000 objects predict ~1s >> 0.25.
-  for (int i = 0; i < 3; ++i) {
-    PlanOutcome outcome;
-    outcome.family = "touch";
-    outcome.objects = 7000;
-    outcome.estimated_results = 1000;
-    outcome.build_seconds = 1.0;
-    outcome.total_seconds = 1.5;
-    engine.feedback().Record(outcome);
-  }
-
-  CountingCollector out;
-  const JoinResult result = engine.Execute({a, b, 2.0f}, out);
-  ASSERT_TRUE(result.ok()) << result.error;
-  ASSERT_EQ(result.plan.algorithm, "touch");
-  const IndexCache::Stats stats = engine.cache_stats();
-  EXPECT_EQ(stats.admission_preadmits, 1u);
-  EXPECT_EQ(stats.admission_rejects, 0u);
-  EXPECT_EQ(stats.entries, 1u);
-
-  // And the next identical request is a plain hit — no probation rebuild.
-  CountingCollector out2;
-  const JoinResult warm = engine.Execute({a, b, 2.0f}, out2);
-  EXPECT_TRUE(warm.index_cache_hit);
 }
 
 TEST(IndexCacheTest, ClearDropsEverythingWithoutCountingEvictions) {

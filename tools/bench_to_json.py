@@ -56,7 +56,9 @@ def convert(paths):
                 "date": raw.get("date", ""),
                 "host": raw.get("host_name", ""),
                 "num_cpus": raw.get("num_cpus", 0),
-                "build_type": raw.get("library_build_type", ""),
+                # How the benchmark library itself was built, not this
+                # repo's bench binaries.
+                "library_build_type": raw.get("library_build_type", ""),
             }
         for row in doc.get("benchmarks", []):
             if row.get("run_type", "iteration") != "iteration":

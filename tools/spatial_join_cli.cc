@@ -58,9 +58,6 @@ struct CliOptions {
   std::string out_path;
   /// Engine index-cache cap for --algo=auto (0 = unbounded).
   size_t cache_bytes = 0;
-  /// --algo=auto: ghost-list cache admission (artifacts retained only after
-  /// their second build request).
-  bool cache_admission = false;
   /// --algo=auto: cancel a request that exceeds this wall-clock budget
   /// (0 = no timeout). Set as JoinRequest::deadline, so the engine itself
   /// enforces it even if this process stopped waiting.
@@ -139,9 +136,6 @@ void PrintUsage() {
       "  --seed=S               RNG seed (default 42)\n"
       "  --cache-bytes=N[kmg]   cap the --algo=auto index cache (cost-aware\n"
       "                         eviction; default unbounded)\n"
-      "  --cache-admission=on|off  only retain an index artifact after the\n"
-      "                         second build request for its key (ghost-list\n"
-      "                         admission; default off)\n"
       "  --timeout-ms=N         cancel an --algo=auto request that runs\n"
       "                         longer than N milliseconds (default: none);\n"
       "                         enforced by the engine as a request deadline\n"
@@ -227,17 +221,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     } else if (ParseFlag(arg, "cache-bytes", &value)) {
       if (!ParseByteCount(value, &options->cache_bytes)) {
         std::fprintf(stderr, "bad --cache-bytes value: %s\n", value.c_str());
-        return false;
-      }
-    } else if (ParseFlag(arg, "cache-admission", &value)) {
-      if (value == "on" || value == "1") {
-        options->cache_admission = true;
-      } else if (value == "off" || value == "0") {
-        options->cache_admission = false;
-      } else {
-        std::fprintf(stderr,
-                     "bad --cache-admission value: %s (expected on|off)\n",
-                     value.c_str());
         return false;
       }
     } else if (ParseFlag(arg, "timeout-ms", &value)) {
@@ -516,7 +499,6 @@ int RunJoin(const CliOptions& options) {
   if (has_auto) {
     EngineOptions engine_options;
     engine_options.max_cache_bytes = options.cache_bytes;
-    engine_options.cache_admission = options.cache_admission;
     engine_options.calibration.enabled = options.calibration;
     engine_options.shards = options.shards;
     engine_options.tracer = tracer;
@@ -781,14 +763,11 @@ int RunJoin(const CliOptions& options) {
     std::fprintf(
         options.csv ? stderr : stdout,
         "index cache: %.0f%% hit rate (%llu/%llu), %llu evictions, "
-        "%llu admission rejects, %llu pre-admits, %zu entries, %.2f MB%s, "
-        "%.3fs of rebuilds avoided\n",
+        "%zu entries, %.2f MB%s, %.3fs of rebuilds avoided\n",
         cache.HitRate() * 100.0,
         static_cast<unsigned long long>(cache.hits),
         static_cast<unsigned long long>(cache.hits + cache.misses),
         static_cast<unsigned long long>(cache.evictions),
-        static_cast<unsigned long long>(cache.admission_rejects),
-        static_cast<unsigned long long>(cache.admission_preadmits),
         cache.entries,
         static_cast<double>(cache.bytes) / (1024.0 * 1024.0),
         cache.capacity_bytes == 0 ? " (unbounded)" : "",

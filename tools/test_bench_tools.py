@@ -117,6 +117,8 @@ class BenchToJsonTest(unittest.TestCase):
         self.assertEqual(doc["schema"], "touch-bench-v1")
         self.assertEqual(doc["context"]["host"], "vm")
         self.assertEqual(doc["context"]["scale"], "0.25")
+        self.assertEqual(doc["context"]["library_build_type"], "release")
+        self.assertNotIn("build_type", doc["context"])
 
     def test_multiple_inputs_merge(self):
         doc = self.convert(
